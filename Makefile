@@ -59,8 +59,8 @@ bench-smoke:
 bench-compare:
 	./scripts/bench_compare.sh
 
-## bench-serve: the serving fast-path benchmark — one Serve decision through
-## the sharded intake pipeline; the steady state must stay zero-alloc
+## bench-serve: the serving fast-path benchmark — one Serve decision taken
+## inline under its tenant's lock; the steady state must stay zero-alloc
 ## (exact gate in BENCH_sim.json via bench-compare)
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSteadyState$$' -benchmem ./cmd/blessd/internal/planner/

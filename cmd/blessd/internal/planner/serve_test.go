@@ -79,7 +79,7 @@ func TestServeOpenValidation(t *testing.T) {
 // with a positive retry-after, accounting balances, and no invariant breaks.
 func TestServeAdmitAndShed(t *testing.T) {
 	p := New()
-	open := mustServeOpen(t, p, ServeOpenRequest{Tenants: serveTestTenants(), Workers: 2})
+	open := mustServeOpen(t, p, ServeOpenRequest{Tenants: serveTestTenants()})
 	if len(open.Tenants) != 4 {
 		t.Fatalf("opened %d tenants, want 4", len(open.Tenants))
 	}
@@ -141,9 +141,6 @@ func TestServeAdmitAndShed(t *testing.T) {
 			t.Errorf("overloaded tenant %s never shed", name)
 		}
 	}
-	if stats.Batches == 0 || stats.BatchMeanSize <= 0 {
-		t.Errorf("no batching windows accounted: %+v", stats)
-	}
 	if stats.BudgetNS <= 0 {
 		t.Error("no §6.9 budget derived")
 	}
@@ -203,14 +200,14 @@ func driveServe(t testing.TB, p *Planner, tenants []ServeTenant, perTenant int, 
 
 // TestServeDigestSerialVsConcurrent is the metamorphic determinism gate: the
 // same per-tenant request streams must produce bit-identical per-tenant and
-// folded digests whether intake is serial on one worker or concurrent across
-// many — including under load shed, so shed decisions are in the digest too.
+// folded digests whether intake is one serial goroutine or one goroutine per
+// tenant — including under load shed, so shed decisions are in the digest too.
 func TestServeDigestSerialVsConcurrent(t *testing.T) {
 	tenants := serveTestTenants()
 	const perTenant = 500
-	run := func(workers int, concurrent bool) ServeStatsReply {
+	run := func(concurrent bool) ServeStatsReply {
 		p := New()
-		mustServeOpen(t, p, ServeOpenRequest{Tenants: tenants, Workers: workers, BatchMax: 8})
+		mustServeOpen(t, p, ServeOpenRequest{Tenants: tenants})
 		driveServe(t, p, tenants, perTenant, concurrent)
 		var cl ServeCloseReply
 		if err := p.ServeClose(struct{}{}, &cl); err != nil {
@@ -218,12 +215,12 @@ func TestServeDigestSerialVsConcurrent(t *testing.T) {
 		}
 		return cl.Stats
 	}
-	serial := run(1, false)
+	serial := run(false)
 	if serial.Shed == 0 {
 		t.Fatal("serial run never shed; digest identity not exercised under load-shed")
 	}
 	for round := 0; round < 3; round++ {
-		conc := run(4, true)
+		conc := run(true)
 		if conc.Digest != serial.Digest {
 			t.Fatalf("round %d: concurrent digest %s != serial %s", round, conc.Digest, serial.Digest)
 		}
@@ -250,7 +247,6 @@ func TestServeReorderedIntake(t *testing.T) {
 	p := New()
 	mustServeOpen(t, p, ServeOpenRequest{
 		Tenants: []ServeTenant{{Name: "a", App: "resnet50", Quota: 0.5, RateRPS: 10}},
-		Workers: 1,
 	})
 	const n = 4
 	replies := make([]ServeReply, n)
@@ -297,6 +293,44 @@ func TestServeReorderedIntake(t *testing.T) {
 	}
 }
 
+// TestServeRejectsFarAheadSeq: a seq more than maxServeAhead past the cursor
+// is refused at once instead of parking a goroutine; it is not offered, does
+// not move the cursor, and is counted.
+func TestServeRejectsFarAheadSeq(t *testing.T) {
+	p := New()
+	mustServeOpen(t, p, ServeOpenRequest{
+		Tenants: []ServeTenant{{Name: "a", App: "resnet50", Quota: 0.5, RateRPS: 10}},
+	})
+	var rep ServeReply
+	if err := p.Serve(ServeRequest{Tenant: "a", Seq: 0}, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Serve(ServeRequest{Tenant: "a", Seq: 2 + maxServeAhead}, &rep); err == nil {
+		t.Fatal("far-ahead seq accepted")
+	}
+	if got := p.reg.Counter("serve/seq_ahead_rejected_total").Value(); got != 1 {
+		t.Errorf("seq_ahead_rejected_total = %d, want 1", got)
+	}
+	var stats ServeStatsReply
+	if err := p.ServeStats(struct{}{}, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Offered != 1 {
+		t.Errorf("offered %d after a refused far-ahead seq, want 1", stats.Offered)
+	}
+	// The cursor did not move: seq 1 is next and decides in order.
+	if err := p.Serve(ServeRequest{Tenant: "a", Seq: 1}, &rep); err != nil || rep.Seq != 1 {
+		t.Fatalf("seq 1 after the refusal: reply %+v, err %v", rep, err)
+	}
+	var cl ServeCloseReply
+	if err := p.ServeClose(struct{}{}, &cl); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Stats.Offered != 2 || len(cl.Stats.Violations) != 0 {
+		t.Errorf("close stats: offered %d, violations %v", cl.Stats.Offered, cl.Stats.Violations)
+	}
+}
+
 // TestServeCloseFlushesGap: a client that abandons its pipeline mid-stream
 // (seq 1 sent, seq 0 never) leaves a parked item that can never decide;
 // ServeClose must flush it with an error rather than hang.
@@ -308,7 +342,6 @@ func TestServeCloseFlushesGap(t *testing.T) {
 	p := New()
 	mustServeOpen(t, p, ServeOpenRequest{
 		Tenants: []ServeTenant{{Name: "a", App: "resnet50", Quota: 0.5, RateRPS: 10}},
-		Workers: 1,
 	})
 	errCh := make(chan error, 1)
 	go func() {
@@ -361,7 +394,7 @@ func TestServeOverRPCParallel(t *testing.T) {
 	admin := dial()
 	defer admin.Close()
 	var open ServeOpenReply
-	if err := admin.Call("Planner.ServeOpen", ServeOpenRequest{Tenants: tenants, Workers: 4, BatchMax: 16}, &open); err != nil {
+	if err := admin.Call("Planner.ServeOpen", ServeOpenRequest{Tenants: tenants}, &open); err != nil {
 		t.Fatal(err)
 	}
 
@@ -411,18 +444,18 @@ func TestServeOverRPCParallel(t *testing.T) {
 }
 
 // BenchmarkServeSteadyState measures the serve fast path end to end inside
-// the process: pooled intake items, per-batch lock amortization, cached
+// the process: the inline decision under the tenant's lock and the cached
 // instruments. The steady state must not allocate — BENCH_sim.json gates
 // allocs/op exactly.
 func BenchmarkServeSteadyState(b *testing.B) {
 	p := New()
 	tenants := serveTestTenants()
-	mustServeOpen(b, p, ServeOpenRequest{Tenants: tenants, Workers: 2})
+	mustServeOpen(b, p, ServeOpenRequest{Tenants: tenants})
 	names := make([]string, len(tenants))
 	for i, ten := range tenants {
 		names[i] = ten.Name
 	}
-	// Prime the pools and instrument hot paths before measuring.
+	// Warm the instrument hot paths before measuring.
 	var rep ServeReply
 	seqs := make([]int, len(names))
 	warm := 2048

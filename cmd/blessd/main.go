@@ -50,9 +50,7 @@
 //	                          Planner.Restore)
 //	GET /debug/bless/serve    open serving deployment's live stats (offered/
 //	                          admitted/shed, wait percentiles, per-decision
-//	                          overhead vs the §6.9 budget, per-tenant digests;
-//	                          with ServeOpen{Trace:true}, the recent
-//	                          decision-event ring)
+//	                          overhead vs the §6.9 budget, per-tenant digests)
 //	GET /debug/pprof/         Go runtime profiles (net/http/pprof)
 //	GET /debug/vars           expvar JSON (memstats, cmdline)
 //
@@ -78,9 +76,9 @@
 // Beyond per-plan what-ifs, blessd also runs a sustained-load serving path:
 // Planner.ServeOpen opens a deployment (placement admission over the pool,
 // one deterministic admission lane per tenant), Planner.Serve decides one
-// request per call at line rate through sharded, batching intake workers
-// (admit, or shed with a retry-after when the tenant's virtual queueing
-// delay exceeds its bound), and Planner.ServeStats / Planner.ServeClose
+// request per call at line rate, inline under its tenant's lock (admit, or
+// shed with a retry-after when the tenant's virtual queueing delay exceeds
+// its bound), and Planner.ServeStats / Planner.ServeClose
 // report the accounting: throughput, wait percentiles, shed counts,
 // measured per-decision overhead against the §6.9 budget, and the
 // determinism digest that is bit-identical between serial and concurrent

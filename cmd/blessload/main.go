@@ -26,9 +26,11 @@
 //
 //	blessload -addr localhost:7600 -verify -verify-requests 4000
 //
-// -verify drives the exact same per-tenant seq streams through a 1-worker
-// (serial) and an N-worker (concurrent) deployment — at rates high enough
-// to shed — and requires the two completion digests to match bit for bit.
+// -verify drives the exact same per-tenant seq streams twice — once from a
+// serial client (one connection, one request in flight, tenant after
+// tenant) and once from the configured concurrent client (-conns
+// connections, -inflight pipelined calls per tenant) — at rates high enough
+// to shed, and requires the two completion digests to match bit for bit.
 //
 // The last line of output is a JSON result record (machine-readable for
 // CI); with -check the exit status enforces -min-rps, the §6.9 budget, a
@@ -58,8 +60,6 @@ func main() {
 		quota    = flag.Float64("quota", 0, "per-tenant quota (0 = spread 0.9/tenants)")
 		gpus     = flag.Int("gpus", 1, "pool size for the placement pass")
 		gpuSMs   = flag.Int("gpu-sms", 0, "per-device SM count (0 = 108)")
-		workers  = flag.Int("workers", 4, "blessd intake workers")
-		batchMax = flag.Int("batch-max", 64, "blessd batching window cap")
 		boundMS  = flag.Float64("bound-ms", 0, "per-tenant shed bound in virtual ms (0 = 4x iso)")
 		rate     = flag.Float64("rate", 0, "starting offered rate per tenant in virtual req/s (0 = half the probed bubble-free capacity)")
 		ramp     = flag.Float64("ramp", 2, "rate multiplier per step")
@@ -82,8 +82,8 @@ func main() {
 
 	cfg := loadConfig{
 		addr: *addr, tenants: *tenants, app: *app, quota: *quota,
-		gpus: *gpus, gpuSMs: *gpuSMs, workers: *workers, batchMax: *batchMax,
-		boundMS: *boundMS, inflight: *inflight, conns: *conns,
+		gpus: *gpus, gpuSMs: *gpuSMs, boundMS: *boundMS,
+		inflight: *inflight, conns: *conns,
 	}
 	if cfg.quota <= 0 {
 		cfg.quota = 0.9 * float64(cfg.gpus) / float64(cfg.tenants)
@@ -110,14 +110,16 @@ func main() {
 }
 
 type loadConfig struct {
-	addr              string
-	tenants           int
-	app               string
-	quota             float64
-	gpus, gpuSMs      int
-	workers, batchMax int
-	boundMS           float64
-	inflight, conns   int
+	addr            string
+	tenants         int
+	app             string
+	quota           float64
+	gpus, gpuSMs    int
+	boundMS         float64
+	inflight, conns int
+	// serial drives the tenants one after another instead of concurrently
+	// (the -verify reference run).
+	serial bool
 }
 
 func (c loadConfig) tenantSpecs(rate float64) []serveapi.ServeTenant {
@@ -161,26 +163,28 @@ func closeAll(clients []*rpc.Client) {
 
 // stepResult is one ramp step's outcome.
 type stepResult struct {
-	TargetRPS     float64  `json:"offered_rps"`  // aggregate declared virtual rate
-	AchievedRPS   float64  `json:"achieved_rps"` // completed decisions per wall second
-	Completed     uint64   `json:"completed"`
-	Admitted      uint64   `json:"admitted"`
-	Shed          uint64   `json:"shed"`
-	ShedRate      float64  `json:"shed_rate"`
-	LatencyP50US  float64  `json:"latency_p50_us"` // client-side RPC round-trip
-	LatencyP99US  float64  `json:"latency_p99_us"`
-	DecisionNS    float64  `json:"decision_ns"` // server per-decision cost
-	BudgetNS      int64    `json:"budget_ns"`   // §6.9 per-request budget
-	WithinBudget  bool     `json:"within_budget"`
-	BatchMeanSize float64  `json:"batch_mean_size"`
-	Digest        string   `json:"digest"`
-	Violations    []string `json:"violations,omitempty"`
+	TargetRPS    float64  `json:"offered_rps"`  // aggregate declared virtual rate
+	AchievedRPS  float64  `json:"achieved_rps"` // completed decisions per wall second
+	Completed    uint64   `json:"completed"`
+	Admitted     uint64   `json:"admitted"`
+	Shed         uint64   `json:"shed"`
+	ShedRate     float64  `json:"shed_rate"`
+	LatencyP50US float64  `json:"latency_p50_us"` // client-side RPC round-trip
+	LatencyP99US float64  `json:"latency_p99_us"`
+	DecisionNS   float64  `json:"decision_ns"` // server per-decision cost
+	BudgetNS     int64    `json:"budget_ns"`   // §6.9 per-request budget
+	WithinBudget bool     `json:"within_budget"`
+	Digest       string   `json:"digest"`
+	Violations   []string `json:"violations,omitempty"`
 }
 
-// rampResult is the whole run's outcome; the knee is the last step driven.
+// rampResult is the whole run's outcome; the knee is the last step driven,
+// reported in both of its units: the declared aggregate rate in virtual
+// req/s and the decisions actually completed per wall second.
 type rampResult struct {
-	Steps   []stepResult `json:"steps"`
-	KneeRPS float64      `json:"knee_rps"` // last sustained aggregate rate
+	Steps                 []stepResult `json:"steps"`
+	KneeOfferedVirtualRPS float64      `json:"knee_offered_virtual_rps"`
+	KneeAchievedWallRPS   float64      `json:"knee_achieved_wall_rps"`
 }
 
 func (r rampResult) enforce(minRPS, maxShedFirst float64) error {
@@ -225,7 +229,6 @@ func probeCapacity(cfg loadConfig) (float64, error) {
 		Tenants: cfg.tenantSpecs(1),
 		GPUs:    cfg.gpus,
 		GPUSMs:  cfg.gpuSMs,
-		Workers: 1,
 	}, &opened); err != nil {
 		return 0, fmt.Errorf("capacity probe: %w", err)
 	}
@@ -261,7 +264,8 @@ func runRamp(cfg loadConfig, rate, ramp float64, steps int, dur time.Duration, k
 		result.Steps = append(result.Steps, step)
 		log.Printf("step %d: offered %.0f virtual rps, achieved %.0f rps, shed %.2f%%, p99 %.0fus, decision %.0fns (budget %dns)",
 			i, step.TargetRPS, step.AchievedRPS, 100*step.ShedRate, step.LatencyP99US, step.DecisionNS, step.BudgetNS)
-		result.KneeRPS = step.AchievedRPS
+		result.KneeOfferedVirtualRPS = step.TargetRPS
+		result.KneeAchievedWallRPS = step.AchievedRPS
 		if step.ShedRate > kneeShed {
 			log.Printf("knee at offered %.0f virtual rps (shed %.2f%%)", step.TargetRPS, 100*step.ShedRate)
 			break
@@ -285,11 +289,9 @@ func runStep(cfg loadConfig, rate float64, dur time.Duration, requests int) (ste
 
 	var opened serveapi.ServeOpenReply
 	open := serveapi.ServeOpenRequest{
-		Tenants:  cfg.tenantSpecs(rate),
-		GPUs:     cfg.gpus,
-		GPUSMs:   cfg.gpuSMs,
-		Workers:  cfg.workers,
-		BatchMax: cfg.batchMax,
+		Tenants: cfg.tenantSpecs(rate),
+		GPUs:    cfg.gpus,
+		GPUSMs:  cfg.gpuSMs,
 	}
 	if err := ctl.Call("Planner.ServeOpen", open, &opened); err != nil {
 		return step, err
@@ -303,22 +305,29 @@ func runStep(cfg loadConfig, rate float64, dur time.Duration, requests int) (ste
 		driveErr  error
 	)
 	deadline := time.Now().Add(dur)
+	drive := func(name string, cl *rpc.Client) {
+		var local metrics.Digest
+		n, err := driveTenant(cl, name, deadline, requests, cfg.inflight, &local)
+		mu.Lock()
+		completed += n
+		lat.Merge(&local)
+		if err != nil && driveErr == nil {
+			driveErr = err
+		}
+		mu.Unlock()
+	}
+	start := time.Now()
 	for i, t := range open.Tenants {
+		if cfg.serial {
+			drive(t.Name, clients[0])
+			continue
+		}
 		wg.Add(1)
 		go func(name string, cl *rpc.Client) {
 			defer wg.Done()
-			var local metrics.Digest
-			n, err := driveTenant(cl, name, deadline, requests, cfg.inflight, &local)
-			mu.Lock()
-			completed += n
-			lat.Merge(&local)
-			if err != nil && driveErr == nil {
-				driveErr = err
-			}
-			mu.Unlock()
+			drive(name, cl)
 		}(t.Name, clients[i%len(clients)])
 	}
-	start := time.Now()
 	wg.Wait()
 	elapsed := time.Since(start)
 
@@ -345,7 +354,6 @@ func runStep(cfg loadConfig, rate float64, dur time.Duration, requests int) (ste
 	step.DecisionNS = stats.DecisionMeanNS
 	step.BudgetNS = stats.BudgetNS
 	step.WithinBudget = stats.WithinBudget
-	step.BatchMeanSize = stats.BatchMeanSize
 	step.Digest = stats.Digest
 	step.Violations = stats.Violations
 	return step, nil
@@ -402,30 +410,38 @@ func driveTenant(cl *rpc.Client, name string, deadline time.Time, total, infligh
 }
 
 // runVerify proves intake determinism: the same per-tenant seq streams —
-// overloaded enough to shed — through a serial (1-worker) and a concurrent
-// (N-worker) deployment must produce bit-identical digests.
+// overloaded enough to shed — from a serial client (one connection, one
+// request in flight) and from the configured concurrent client must produce
+// bit-identical digests.
 func runVerify(cfg loadConfig, requests int) error {
 	// Overload deliberately: a rate far above the bubble-free quota rate
 	// forces the shed path into the digest on both runs.
 	rate := 1e6
-	digests := make([]string, 2)
-	sheds := make([]uint64, 2)
-	for i, workers := range []int{1, cfg.workers} {
-		run := cfg
-		run.workers = workers
-		step, err := runStep(run, rate, time.Minute, requests)
+	serial := cfg
+	serial.conns, serial.inflight, serial.serial = 1, 1, true
+	runs := []struct {
+		name string
+		cfg  loadConfig
+	}{
+		{"serial", serial},
+		{fmt.Sprintf("concurrent (%d conns, %d in flight)", cfg.conns, cfg.inflight), cfg},
+	}
+	digests := make([]string, len(runs))
+	sheds := make([]uint64, len(runs))
+	for i, run := range runs {
+		step, err := runStep(run.cfg, rate, time.Minute, requests)
 		if err != nil {
-			return fmt.Errorf("verify (%d workers): %w", workers, err)
+			return fmt.Errorf("verify %s: %w", run.name, err)
 		}
 		if step.Completed != uint64(requests*cfg.tenants) {
-			return fmt.Errorf("verify (%d workers): completed %d of %d requests", workers, step.Completed, requests*cfg.tenants)
+			return fmt.Errorf("verify %s: completed %d of %d requests", run.name, step.Completed, requests*cfg.tenants)
 		}
 		if len(step.Violations) > 0 {
-			return fmt.Errorf("verify (%d workers): invariant violations: %v", workers, step.Violations)
+			return fmt.Errorf("verify %s: invariant violations: %v", run.name, step.Violations)
 		}
 		digests[i] = step.Digest
 		sheds[i] = step.Shed
-		log.Printf("verify: %d worker(s): digest %s, shed %d/%d", workers, step.Digest, step.Shed, requests*cfg.tenants)
+		log.Printf("verify %s: digest %s, shed %d/%d", run.name, step.Digest, step.Shed, requests*cfg.tenants)
 	}
 	if digests[0] != digests[1] {
 		fmt.Println(`{"verify":"FAIL"}`)

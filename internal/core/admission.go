@@ -21,10 +21,9 @@ import (
 // Every decision is a pure function of (lane state, seq), and lane state
 // advances only by per-tenant seq order — cross-tenant interleaving cannot
 // influence any decision. That is the determinism backbone of the serving
-// path: any sharding of tenants across intake workers, any batching window,
-// and any concurrent arrival order produce bit-identical per-tenant
-// decision digests, which fold order-independently (XOR) into the serve
-// digest compared between serial and concurrent runs.
+// path: any concurrent arrival order across tenants produces bit-identical
+// per-tenant decision digests, which fold order-independently (XOR) into the
+// serve digest compared between serial and concurrent runs.
 type ServeLane struct {
 	// Interval is the tenant's nominal inter-arrival gap: request seq
 	// arrives at seq x Interval of virtual time.
@@ -40,7 +39,8 @@ type ServeLane struct {
 	// admitted work drains.
 	busy sim.Time
 	// next is the next expected seq (requests must arrive in per-tenant seq
-	// order; the intake pipeline's tenant sharding preserves it).
+	// order; the serving front end parks early arrivals until it is their
+	// turn).
 	next int
 	// Admitted and Shed count decisions.
 	Admitted, Shed uint64
@@ -133,9 +133,7 @@ func (l *ServeLane) Decide(seq int, d *ServeDecision) {
 }
 
 // DecideBatch decides a contiguous run of n requests starting at firstSeq in
-// one pass, appending the decisions to out and returning the extended slice
-// — the batch-admission entry point the intake pipeline uses to plan one
-// batching window without per-request round-trips through the lane.
+// one pass, appending the decisions to out and returning the extended slice.
 func (l *ServeLane) DecideBatch(firstSeq, n int, out []ServeDecision) []ServeDecision {
 	for i := 0; i < n; i++ {
 		var d ServeDecision
@@ -159,9 +157,8 @@ func (l *ServeLane) SeedDigest(tag string) {
 	}
 }
 
-// Next is the next seq the lane will decide. Intake pipelines use it to
-// reorder transport-scrambled arrivals back into per-tenant seq order
-// before deciding.
+// Next is the next seq the lane will decide. The serving front end uses it
+// to hold transport-scrambled arrivals until their turn.
 func (l *ServeLane) Next() int { return l.next }
 
 // Offered is the number of decisions taken (admitted + shed).
@@ -179,8 +176,8 @@ func (l *ServeLane) Headroom() sim.Time {
 }
 
 // ServeDigest folds per-lane digests order-independently (XOR), so the fold
-// is invariant to tenant enumeration order and to how tenants were sharded
-// across intake workers.
+// is invariant to tenant enumeration order and to how concurrent intake
+// interleaved tenants.
 func ServeDigest(lanes []*ServeLane) uint64 {
 	var h uint64
 	for _, l := range lanes {

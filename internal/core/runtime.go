@@ -986,16 +986,18 @@ func (rt *Runtime) restrictedSlot(cs *clientState, sms int) (*restrictedSlot, er
 }
 
 // nearestSlot finds the established restricted context closest in SM count.
+// Equally distant grants tie toward the smaller one, so the choice does not
+// depend on map iteration order.
 func (cs *clientState) nearestSlot(sms int) *restrictedSlot {
 	var best *restrictedSlot
-	bestGap := 1 << 30
+	bestGap, bestSMs := 1<<30, 0
 	for got, slot := range cs.restricted {
 		gap := got - sms
 		if gap < 0 {
 			gap = -gap
 		}
-		if gap < bestGap {
-			bestGap, best = gap, slot
+		if gap < bestGap || (gap == bestGap && got < bestSMs) {
+			bestGap, bestSMs, best = gap, got, slot
 		}
 	}
 	return best

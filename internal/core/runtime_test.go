@@ -308,3 +308,19 @@ func TestDeployFailureReleasesMemory(t *testing.T) {
 		t.Errorf("failed deployment left %d bytes reserved", used)
 	}
 }
+
+// TestNearestSlotTieBreaksLow pins the fallback context choice when two
+// established grants are equally far from the requested one: the smaller
+// grant wins on every call, whatever order the map iterates in.
+func TestNearestSlotTieBreaksLow(t *testing.T) {
+	low, high := &restrictedSlot{}, &restrictedSlot{}
+	cs := &clientState{restricted: map[int]*restrictedSlot{40: low, 60: high, 90: {}}}
+	for i := 0; i < 100; i++ {
+		if got := cs.nearestSlot(50); got != low {
+			t.Fatalf("call %d: nearestSlot(50) picked the 60-SM slot over the equidistant 40-SM one", i)
+		}
+	}
+	if got := cs.nearestSlot(58); got != high {
+		t.Error("nearestSlot(58) did not pick the strictly closer 60-SM slot")
+	}
+}

@@ -79,18 +79,6 @@ const (
 	// aborted (Reason "ok" or "failed") — closing its lifecycle span.
 	// Actual carries the request's exact latency (Done - Arrival).
 	KindRequestDone
-	// KindServeIntake fires per admission decision on the serving front
-	// end's deterministic lanes: Client is the tenant, Seq the per-tenant
-	// request sequence, Actual the virtual queueing delay. Reason is
-	// "admit" or "shed".
-	KindServeIntake
-	// KindServeShed fires when the front end sheds a request because its
-	// queueing delay would exceed the tenant's bound; Predicted carries the
-	// retry-after delay returned to the client.
-	KindServeShed
-	// KindServeBatch fires once per intake batching window processed by a
-	// worker; Considered carries the batch size.
-	KindServeBatch
 )
 
 // String names the kind for exports and logs.
@@ -128,12 +116,6 @@ func (k Kind) String() string {
 		return "request_admitted"
 	case KindRequestDone:
 		return "request_done"
-	case KindServeIntake:
-		return "serve_intake"
-	case KindServeShed:
-		return "serve_shed"
-	case KindServeBatch:
-		return "serve_batch"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}

@@ -29,14 +29,6 @@ type ServeOpenRequest struct {
 	GPUs int
 	// GPUSMs overrides the per-device SM count (default 108).
 	GPUSMs int
-	// Workers is the intake shard count (default 4).
-	Workers int
-	// BatchMax caps how many queued requests one batching window plans in a
-	// single pass (default 64).
-	BatchMax int
-	// Trace records per-decision serve events into a bounded ring exposed
-	// on /debug/bless/serve (off for the zero-alloc fast path).
-	Trace bool
 }
 
 // ServeTenantInfo reports one tenant's derived admission parameters.
@@ -44,8 +36,6 @@ type ServeTenantInfo struct {
 	Name string
 	// Device is the host device index from the placement pass.
 	Device int
-	// Worker is the intake shard that owns the tenant's lane.
-	Worker int
 	// IntervalNS, ServiceNS and BoundNS are the lane parameters: nominal
 	// inter-arrival gap, bubble-free iso cost at the tenant's quota, and
 	// the shed bound (virtual ns).
@@ -55,7 +45,6 @@ type ServeTenantInfo struct {
 // ServeOpenReply reports the opened deployment.
 type ServeOpenReply struct {
 	Tenants []ServeTenantInfo
-	Workers int
 	GPUs    int
 }
 
@@ -92,7 +81,10 @@ type ServeTenantStats struct {
 type ServeStatsReply struct {
 	Open                    bool
 	Offered, Admitted, Shed uint64
-	// Batches and BatchMeanSize describe the batching windows processed.
+	// Batches and BatchMeanSize stay on the wire for existing readers (the
+	// perfbench serve workload reads BatchMeanSize). Each request is decided
+	// on its own, so Batches counts decisions and BatchMeanSize is 1 once
+	// any request has been decided.
 	Batches       uint64
 	BatchMeanSize float64
 	// Digest is the cross-tenant XOR fold of per-tenant decision digests —
@@ -102,8 +94,8 @@ type ServeStatsReply struct {
 	// WaitMeanNS/WaitP50NS/WaitP99NS summarize admitted virtual queueing
 	// delay.
 	WaitMeanNS, WaitP50NS, WaitP99NS int64
-	// DecisionMeanNS is the measured wall-clock scheduler cost per decision
-	// on the intake workers; BudgetNS is the §6.9 budget for one request
+	// DecisionMeanNS is the measured wall-clock scheduler cost per
+	// decision; BudgetNS is the §6.9 budget for one request
 	// (SchedPerKernel x the deployment's mean kernels per request); a
 	// sustained DecisionMeanNS above BudgetNS means the front end, not the
 	// GPU, is the bottleneck.

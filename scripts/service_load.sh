@@ -3,8 +3,9 @@
 # boot the daemon, and run the two blessload gates against it over real TCP:
 #
 #   1. the determinism gate (-verify): identical per-tenant request streams
-#      through a serial (1-worker) and a concurrent (N-worker) deployment —
-#      overloaded enough to shed — must fold to bit-identical digests;
+#      from a serial client (one connection, one request in flight) and from
+#      a concurrent, pipelining client — overloaded enough to shed — must
+#      fold to bit-identical digests;
 #   2. the closed-loop ramp (-check): capacity-relative rate ladder up to the
 #      shed knee, failing on first-step (in-quota) shedding, on per-decision
 #      scheduler cost above the §6.9 budget, on serve-invariant violations,
