@@ -103,11 +103,7 @@ func Determine(s *Squad, deviceSMs int, quotas []float64, opts DetermineOptions)
 		budgets = make([]sim.Time, k)
 		for i := range s.Entries {
 			e := &s.Entries[i]
-			qsms := e.Client.QuotaSMs(deviceSMs)
-			var b sim.Time
-			for _, kk := range e.Kernels {
-				b += e.Client.Profile.KernelDurAt(kk, qsms)
-			}
+			b := entryStack(e, e.Client.QuotaSMs(deviceSMs))
 			budgets[i] = b + b/50
 			if budgets[i] < minBudget {
 				minBudget = budgets[i]
@@ -133,11 +129,7 @@ func Determine(s *Squad, deviceSMs int, quotas []float64, opts DetermineOptions)
 		feasible := true
 		if opts.QuotaGuard {
 			for i := range s.Entries {
-				var stack sim.Time
-				for _, kk := range s.Entries[i].Kernels {
-					stack += s.Entries[i].Client.Profile.KernelDurAt(kk, scratch[i])
-				}
-				if stack > budgets[i] {
+				if entryStack(&s.Entries[i], scratch[i]) > budgets[i] {
 					feasible = false
 					break
 				}

@@ -18,20 +18,42 @@ import (
 //
 //	t = max_j sum_i t[n_j%][k_i^j]
 //
-// smAlloc must have one entry per squad entry.
+// smAlloc must have one entry per squad entry. A contiguous kernel run on a
+// partition grid width — every split Determine scores — is answered from the
+// profile's prefix table in O(1); other inputs sum per-kernel durations, with
+// identical results.
 func EstimateSpatial(s *Squad, smAlloc []int) sim.Time {
 	var worst sim.Time
 	for i := range s.Entries {
-		e := &s.Entries[i]
-		var stack sim.Time
-		for _, k := range e.Kernels {
-			stack += e.Client.Profile.KernelDurAt(k, smAlloc[i])
-		}
-		if stack > worst {
+		if stack := entryStack(&s.Entries[i], smAlloc[i]); stack > worst {
 			worst = stack
 		}
 	}
 	return worst
+}
+
+// entryStack is one entry's kernel stack at sms SMs, Equation 1's inner sum.
+func entryStack(e *SquadEntry, sms int) sim.Time {
+	if n := len(e.Kernels); n > 0 && contiguous(e.Kernels) {
+		if stack, ok := e.Client.Profile.StackAt(e.Kernels[0], e.Kernels[n-1]+1, sms); ok {
+			return stack
+		}
+	}
+	var stack sim.Time
+	for _, k := range e.Kernels {
+		stack += e.Client.Profile.KernelDurAt(k, sms)
+	}
+	return stack
+}
+
+// contiguous reports whether ks ascends in steps of one.
+func contiguous(ks []int) bool {
+	for i := 1; i < len(ks); i++ {
+		if ks[i] != ks[i-1]+1 {
+			return false
+		}
+	}
+	return true
 }
 
 // EstimateUnrestricted is the workload-equivalence predictor (Equation 2):

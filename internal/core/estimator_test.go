@@ -199,3 +199,74 @@ func TestEstimatorsAgreeOnSaturatingSolo(t *testing.T) {
 		t.Fatal("dropping kernels increased the unrestricted estimate")
 	}
 }
+
+// refSpatial is Equation 1 as a plain per-kernel loop, the reference the
+// prefix-table path must reproduce exactly.
+func refSpatial(s *Squad, smAlloc []int) sim.Time {
+	var worst sim.Time
+	for i, e := range s.Entries {
+		var stack sim.Time
+		for _, k := range e.Kernels {
+			stack += e.Client.Profile.KernelDurAt(k, smAlloc[i])
+		}
+		worst = max(worst, stack)
+	}
+	return worst
+}
+
+// TestEstimateSpatialMatchesKernelLoop: the O(1) prefix-table lookup and
+// its per-kernel fallback agree with the plain loop on contiguous runs at
+// every grid split, non-contiguous lists, empty entries, off-grid widths,
+// a profile measured on a different device size, and hand-built profiles
+// that carry no table.
+func TestEstimateSpatialMatchesKernelLoop(t *testing.T) {
+	clients := testClients(t, []float64{0.5, 0.5}, "nasnet", "bert")
+	app := clients[0].App
+	small := sim.DefaultConfig()
+	small.SMs = 96
+	p96, err := profiler.ProfileApp(app, profiler.Options{Config: small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := &sharing.Client{App: app, Profile: p96}
+	lit := estClient(estProfile())
+
+	run := func(first, n int) []int {
+		ks := make([]int, n)
+		for i := range ks {
+			ks[i] = first + i
+		}
+		return ks
+	}
+	cases := []struct {
+		name    string
+		clients []*sharing.Client
+		kernels [][]int
+	}{
+		{"contiguous", clients, [][]int{run(17, 50), run(200, 33)}},
+		{"contiguous from zero", clients, [][]int{run(0, 1), run(0, 120)}},
+		{"non-contiguous", clients, [][]int{{0, 0, 0}, {5, 4, 9}}},
+		{"empty entry", clients, [][]int{{}, run(3, 10)}},
+		{"other device size", []*sharing.Client{other, clients[1]}, [][]int{run(40, 60), run(0, 5)}},
+		{"hand-built profile", []*sharing.Client{lit, lit}, [][]int{{0, 1}, {1, 2}}},
+		{"hand-built non-contiguous", []*sharing.Client{lit, lit}, [][]int{{0, 0, 0}, {2}}},
+	}
+	const n = 18
+	for _, c := range cases {
+		s := &Squad{}
+		for i, ks := range c.kernels {
+			s.Entries = append(s.Entries, SquadEntry{Client: c.clients[i], Kernels: ks})
+		}
+		device := c.clients[0].Profile.DeviceSMs
+		var splits [][]int
+		for p := 1; p < n; p++ {
+			splits = append(splits, []int{device * p / n, device * (n - p) / n})
+		}
+		splits = append(splits, []int{50, 58}, []int{1, 107}, []int{0, 200}, []int{15, 10})
+		for _, sms := range splits {
+			if got, want := EstimateSpatial(s, sms), refSpatial(s, sms); got != want {
+				t.Errorf("%s at %v: EstimateSpatial = %d, per-kernel loop %d", c.name, sms, got, want)
+			}
+		}
+	}
+}

@@ -47,6 +47,7 @@ func Load(r io.Reader) (*Profile, error) {
 	if err := f.Profile.Validate(); err != nil {
 		return nil, err
 	}
+	f.Profile.buildStackTable()
 	return f.Profile, nil
 }
 

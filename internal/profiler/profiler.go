@@ -61,6 +61,12 @@ type Profile struct {
 	// Cost is the virtual time the profiling runs consumed (Table 1 reports
 	// 0.38s-6.9s per application).
 	Cost sim.Time
+
+	// stack[p][k] is the sum of KernelDurAt(j, PartitionSMs[p]) over j < k:
+	// a per-partition prefix table that answers Equation 1's kernel stacks
+	// in O(1). ProfileApp and Load build it before the profile is shared,
+	// so concurrent readers need no lock; hand-built profiles have none.
+	stack [][]sim.Time
 }
 
 // NumKernels returns the profiled kernel count.
@@ -92,6 +98,37 @@ func (p *Profile) QuotaPartition(quota float64) int {
 // IsoAtQuota returns T[n%] for a fractional quota.
 func (p *Profile) IsoAtQuota(quota float64) sim.Time {
 	return p.Iso[p.QuotaPartition(quota)]
+}
+
+// buildStackTable fills the prefix table by calling KernelDurAt itself, so
+// every lookup equals the summed per-kernel durations exactly.
+func (p *Profile) buildStackTable() {
+	nk := len(p.Kernels)
+	flat := make([]sim.Time, len(p.PartitionSMs)*(nk+1))
+	p.stack = make([][]sim.Time, len(p.PartitionSMs))
+	for i, sms := range p.PartitionSMs {
+		row := flat[i*(nk+1) : (i+1)*(nk+1)]
+		for k := 0; k < nk; k++ {
+			row[k+1] = row[k] + p.KernelDurAt(k, sms)
+		}
+		p.stack[i] = row
+	}
+}
+
+// StackAt returns the summed duration of kernels [first, end) at sms SMs,
+// the stack term of Equation 1, from the prefix table. ok is false when the
+// profile has no table or sms is not a partition width; the caller then sums
+// KernelDurAt itself.
+func (p *Profile) StackAt(first, end, sms int) (d sim.Time, ok bool) {
+	// ProfileApp's grid is DeviceSMs*(i+1)/N, which inverts to this index;
+	// the equality check rejects every other width.
+	n := len(p.stack)
+	i := (sms*n+p.DeviceSMs-1)/max(1, p.DeviceSMs) - 1
+	if i < 0 || i >= n || p.PartitionSMs[i] != sms {
+		return 0, false
+	}
+	row := p.stack[i]
+	return row[end] - row[first], true
 }
 
 // KernelDurAt returns the kernel's duration at an arbitrary SM count by
@@ -206,6 +243,7 @@ func ProfileApp(app *model.App, opts Options) (*Profile, error) {
 			prof.Kernels[k].Cum[p] = r.cum[k]
 		}
 	}
+	prof.buildStackTable()
 	return prof, nil
 }
 

@@ -16,7 +16,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -55,14 +54,16 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
 // Event is a scheduled callback. The zero Event is invalid; events are
-// created through Engine.Schedule and may be revoked with Cancel.
+// created through Engine.Schedule, may be moved with Engine.Rearm while
+// pending, and may be revoked with Cancel.
 //
 // Event objects are pooled: once an event has fired (its callback returned)
 // or has been canceled and subsequently discarded by the engine, its handle
 // is dead and the object may back a future Schedule call. Holding a handle
-// past that point and calling Cancel on it would revoke an unrelated later
-// event — release (nil out) stored handles no later than inside the firing
-// callback, as GPU.completion and the temporal baseline's slice timer do.
+// past that point and calling Cancel or Rearm on it would act on an
+// unrelated later event — release (nil out) stored handles no later than
+// inside the firing callback, as GPU.completion and the temporal baseline's
+// slice timer do. A rearmed event stays live until it fires or is canceled.
 type Event struct {
 	at       Time
 	seq      uint64
@@ -82,33 +83,59 @@ func (e *Event) Cancel() {
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
+// before orders events by (at, seq). Every Schedule and Rearm draws a fresh
+// seq, so keys are unique and the pop order does not depend on heap layout.
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// eventHeap is a binary min-heap of pending events that keeps each event's
+// index current, so Rearm can restore order in place.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// up and down sift h[i] toward the root or the leaves, moving the other
+// events into the hole rather than swapping pairs.
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for p := (i - 1) / 2; i > 0 && ev.before(h[p]); p = (i - 1) / 2 {
+		h[i], h[p].index = h[p], i
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i], ev.index = ev, i
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+func (h eventHeap) down(i int) {
+	ev := h[i]
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i], h[c].index = h[c], i
+		i = c
+	}
+	h[i], ev.index = ev, i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	ev := old[0]
+	old[0], old[n] = old[n], nil
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	ev.index = -1
+	return ev
 }
 
 // Engine is a discrete-event simulation loop: a virtual clock plus a heap of
@@ -133,23 +160,40 @@ func (e *Engine) Now() Time { return e.now }
 
 // Schedule registers fn to run at virtual time at. If at is in the past, the
 // event fires at the current time (never before already-pending earlier
-// events). The returned Event may be canceled.
+// events). The returned Event may be canceled or rearmed.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.now {
-		at = e.now
-	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.canceled = at, e.seq, fn, false
 	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn}
+		ev = new(Event)
 	}
-	e.seq++
-	heap.Push(&e.events, ev)
+	ev.fn, ev.canceled = fn, false
+	e.stamp(ev, at)
+	e.events.push(ev)
 	return ev
+}
+
+// Rearm moves the pending event ev to time at. It draws the next sequence
+// number exactly as Cancel followed by Schedule would, so every event fires
+// in the same order as under that pair — but ev stays the live handle and no
+// canceled event is left in the heap. ev must be pending: scheduled, not yet
+// fired and not canceled.
+func (e *Engine) Rearm(ev *Event, at Time) {
+	if ev.index < 0 || ev.canceled {
+		panic("sim: Rearm of an event that is not pending")
+	}
+	e.stamp(ev, at)
+	e.events.up(ev.index)
+	e.events.down(ev.index)
+}
+
+// stamp keys ev at time at, clamped to now, with the next sequence number.
+func (e *Engine) stamp(ev *Event, at Time) {
+	ev.at, ev.seq = max(at, e.now), e.seq
+	e.seq++
 }
 
 // recycle returns a dead (fired or canceled-and-popped) event to the pool.
@@ -170,21 +214,30 @@ func (e *Engine) Pending() int { return len(e.events) }
 // in-flight callback completes. Pending events stay queued.
 func (e *Engine) Stop() { e.stopped = true }
 
+// peekLive discards canceled events from the top of the heap and returns the
+// earliest live one, or nil when none is queued.
+func (e *Engine) peekLive() *Event {
+	for len(e.events) > 0 {
+		if ev := e.events[0]; !ev.canceled {
+			return ev
+		}
+		e.recycle(e.events.pop())
+	}
+	return nil
+}
+
 // Step fires the earliest pending non-canceled event and advances the clock
 // to its timestamp. It reports whether an event fired.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		ev.fn()
-		e.recycle(ev)
-		return true
+	ev := e.peekLive()
+	if ev == nil {
+		return false
 	}
-	return false
+	e.events.pop()
+	e.now = ev.at
+	ev.fn()
+	e.recycle(ev)
+	return true
 }
 
 // Run fires events until the queue drains or Stop is called.
@@ -197,39 +250,22 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= deadline, then sets the clock to
 // the deadline (if it has not already passed it) and returns. Events beyond
 // the deadline stay queued.
-func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		// Peek at the earliest live event.
-		idx := -1
-		for len(e.events) > 0 && e.events[0].canceled {
-			e.recycle(heap.Pop(&e.events).(*Event))
-		}
-		if len(e.events) > 0 {
-			idx = 0
-		}
-		if idx < 0 || e.events[0].at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
+func (e *Engine) RunUntil(deadline Time) { e.runTo(deadline, true) }
 
 // RunBefore fires events with timestamps strictly earlier than deadline,
 // then sets the clock to exactly deadline and returns. Events at or past the
 // deadline stay queued and fire in a later window. This is the window
 // primitive of the sharded fleet simulation: every shard runs [now, deadline)
 // locally, and all clocks agree at the barrier.
-func (e *Engine) RunBefore(deadline Time) {
+func (e *Engine) RunBefore(deadline Time) { e.runTo(deadline, false) }
+
+// runTo fires live events earlier than deadline (and at it, when inclusive)
+// until Stop, then lifts the clock to deadline.
+func (e *Engine) runTo(deadline Time, inclusive bool) {
 	e.stopped = false
 	for !e.stopped {
-		for len(e.events) > 0 && e.events[0].canceled {
-			e.recycle(heap.Pop(&e.events).(*Event))
-		}
-		if len(e.events) == 0 || e.events[0].at >= deadline {
+		ev := e.peekLive()
+		if ev == nil || ev.at > deadline || (ev.at == deadline && !inclusive) {
 			break
 		}
 		e.Step()
@@ -260,11 +296,8 @@ func (e *Engine) PendingTimes(buf []Time) []Time {
 // PeekTime reports the timestamp of the earliest live (non-canceled) pending
 // event. ok is false when no live event is queued.
 func (e *Engine) PeekTime() (at Time, ok bool) {
-	for len(e.events) > 0 && e.events[0].canceled {
-		e.recycle(heap.Pop(&e.events).(*Event))
+	if ev := e.peekLive(); ev != nil {
+		return ev.at, true
 	}
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
+	return 0, false
 }

@@ -162,6 +162,10 @@ type Queue struct {
 	run     *exec // currently executing head, nil if idle
 	paused  bool
 	label   string
+
+	// Intrusive links of the device's busy list (see GPU.busyHead).
+	busy               bool
+	busyPrev, busyNext *Queue
 }
 
 // Context returns the owning context.
@@ -243,6 +247,7 @@ func (q *Queue) CancelPending() []PendingKernel {
 		}
 	}
 	q.pending = q.pending[:0]
+	g.unlinkIfIdle(q)
 	for _, t := range g.removalTracers {
 		t.KernelsRemoved(g.eng.Now(), q, ks)
 	}
@@ -277,9 +282,19 @@ type GPU struct {
 
 	contexts []*Context
 	queues   []*Queue
+	// busyHead starts the list of non-idle queues (running or pending
+	// kernels), linked through Queue.busyNext in ascending queue id. Hot
+	// passes walk it instead of every deployed queue: a BLESS device holds
+	// one context per distinct SM grant, most of them idle at any instant.
+	// The order matches a scan of queues, so floating-point accumulation
+	// order is unchanged.
+	busyHead *Queue
 
+	// completion is the device's one pending completion event. It stays
+	// live across re-arms (Engine.Rearm) and is cleared when it fires or
+	// when no kernel runs.
 	completion   *Event
-	onCompletion func() // cached completion callback (one closure per device)
+	onCompletion func() // completion callback, bound once in NewGPU
 	lastAcct     Time
 
 	// accounting
@@ -368,7 +383,12 @@ func NewGPU(eng *Engine, cfg Config) *GPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &GPU{eng: eng, cfg: cfg}
+	g := &GPU{eng: eng, cfg: cfg}
+	g.onCompletion = func() {
+		g.completion = nil
+		g.reschedule()
+	}
+	return g
 }
 
 // Config returns the device configuration.
@@ -648,6 +668,7 @@ func (q *Queue) enqueueNow(rec launchRecord) {
 	g := q.ctx.gpu
 	blocked := q.run != nil || q.paused
 	q.pending = append(q.pending, rec)
+	g.markBusy(q)
 	g.notifyEnqueued(q, rec.k)
 	if blocked {
 		g.rescheduleLight()
@@ -685,11 +706,52 @@ func (q *Queue) popPending() launchRecord {
 	return rec
 }
 
+// markBusy links q into the busy list, keeping ascending queue id, unless it
+// is already there. Only a few queues are busy at once, so the ordered walk
+// is short.
+func (g *GPU) markBusy(q *Queue) {
+	if q.busy {
+		return
+	}
+	q.busy = true
+	var prev *Queue
+	next := g.busyHead
+	for next != nil && next.id < q.id {
+		prev, next = next, next.busyNext
+	}
+	q.busyPrev, q.busyNext = prev, next
+	if prev == nil {
+		g.busyHead = q
+	} else {
+		prev.busyNext = q
+	}
+	if next != nil {
+		next.busyPrev = q
+	}
+}
+
+// unlinkIfIdle removes q from the busy list once it has nothing running and
+// nothing pending.
+func (g *GPU) unlinkIfIdle(q *Queue) {
+	if !q.busy || !q.Idle() {
+		return
+	}
+	if q.busyPrev == nil {
+		g.busyHead = q.busyNext
+	} else {
+		q.busyPrev.busyNext = q.busyNext
+	}
+	if q.busyNext != nil {
+		q.busyNext.busyPrev = q.busyPrev
+	}
+	q.busy, q.busyPrev, q.busyNext = false, nil, nil
+}
+
 // runningExecs appends the execs currently eligible to run to buf (reused
 // when capacity allows), starting queued heads as needed.
 func (g *GPU) runningExecs(buf []*exec) []*exec {
 	out := buf[:0]
-	for _, q := range g.queues {
+	for q := g.busyHead; q != nil; q = q.busyNext {
 		if q.run == nil && !q.paused && len(q.pending) > 0 {
 			rec := q.popPending()
 			e := g.newExec()
@@ -717,7 +779,7 @@ func (g *GPU) advance() {
 	now := g.eng.Now()
 	dt := float64(now - g.lastAcct)
 	if dt > 0 {
-		for _, q := range g.queues {
+		for q := g.busyHead; q != nil; q = q.busyNext {
 			e := q.run
 			if e == nil {
 				continue
@@ -767,6 +829,7 @@ func (g *GPU) reschedule() {
 		for _, e := range execs {
 			if e.remaining <= 0.5 {
 				e.q.run = nil
+				g.unlinkIfIdle(e.q)
 				g.kernelsDone++
 				if len(g.tracers) > 0 {
 					avg := 0.0
@@ -829,7 +892,7 @@ func (g *GPU) rescheduleLight() {
 	g.advance()
 	// If any in-flight kernel has already crossed the retirement threshold,
 	// the full pass must retire it (and start successors) now.
-	for _, q := range g.queues {
+	for q := g.busyHead; q != nil; q = q.busyNext {
 		if e := q.run; e != nil && e.remaining <= 0.5 {
 			g.reschedule() // advance again is a no-op (dt = 0)
 			return
@@ -840,15 +903,13 @@ func (g *GPU) rescheduleLight() {
 	g.publishAllocations()
 }
 
-// armCompletion cancels and re-arms the earliest next completion event from
-// the running kernels (in queue order, matching the full pass's exec order).
+// armCompletion moves the completion event to the earliest next completion
+// among the running kernels. A pending event is re-armed in place, which
+// draws the same engine sequence number a cancel-and-reschedule would; the
+// event is canceled only when no kernel runs.
 func (g *GPU) armCompletion() {
-	if g.completion != nil {
-		g.completion.Cancel()
-		g.completion = nil
-	}
 	next := Time(math.MaxInt64)
-	for _, q := range g.queues {
+	for q := g.busyHead; q != nil; q = q.busyNext {
 		e := q.run
 		if e == nil || e.rate <= 0 {
 			continue
@@ -861,13 +922,13 @@ func (g *GPU) armCompletion() {
 			next = g.eng.Now() + d
 		}
 	}
-	if next != Time(math.MaxInt64) {
-		if g.onCompletion == nil {
-			g.onCompletion = func() {
-				g.completion = nil
-				g.reschedule()
-			}
-		}
+	switch {
+	case next == Time(math.MaxInt64):
+		g.completion.Cancel() // nil-safe
+		g.completion = nil
+	case g.completion != nil:
+		g.eng.Rearm(g.completion, next)
+	default:
 		g.completion = g.eng.Schedule(next, g.onCompletion)
 	}
 }
@@ -1219,7 +1280,7 @@ func (g *GPU) Utilization() float64 {
 // at this instant — instantaneous occupancy for timeline introspection.
 func (g *GPU) ActiveSMs() float64 {
 	total := 0.0
-	for _, q := range g.queues {
+	for q := g.busyHead; q != nil; q = q.busyNext {
 		if q.run != nil && q.run.rec.k.IsCompute() {
 			total += q.run.alloc
 		}
@@ -1228,11 +1289,4 @@ func (g *GPU) ActiveSMs() float64 {
 }
 
 // Quiescent reports whether no queue holds running or pending kernels.
-func (g *GPU) Quiescent() bool {
-	for _, q := range g.queues {
-		if !q.Idle() {
-			return false
-		}
-	}
-	return true
-}
+func (g *GPU) Quiescent() bool { return g.busyHead == nil }

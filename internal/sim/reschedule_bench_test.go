@@ -32,6 +32,48 @@ func BenchmarkReschedule(b *testing.B) {
 		}
 		queues[i] = ctx.NewQueue(fmt.Sprintf("q%d", i))
 	}
+	runClosedLoop(b, eng, queues)
+}
+
+// BenchmarkRescheduleSparse is BenchmarkReschedule on a device shaped like
+// the colocate workload: four owners, each deploying a default context plus
+// 17 restricted ones (one per partition grant below the full device), so 72
+// queues exist while only four — two default, two restricted — are busy.
+// Per-event work must scale with the busy queues, not the deployed ones.
+func BenchmarkRescheduleSparse(b *testing.B) {
+	eng := NewEngine()
+	g := NewGPU(eng, DefaultConfig())
+	const owners, grants = 4, 17
+	var busy []*Queue
+	for o := 0; o < owners; o++ {
+		for p := 0; p <= grants; p++ {
+			limit := 0 // p == 0 is the owner's default context
+			if p > 0 {
+				limit = g.Config().SMs * p / (grants + 1)
+			}
+			ctx, err := g.NewContext(ContextOptions{
+				SMLimit:     limit,
+				NoMemCharge: true,
+				Owner:       OwnerTag(o),
+				Label:       fmt.Sprintf("o%d/p%d", o, p),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			q := ctx.NewQueue(fmt.Sprintf("o%d/p%d", o, p))
+			// Owners 0 and 2 run on their default context, 1 and 3 on a
+			// third of the device.
+			if (o%2 == 0 && p == 0) || (o%2 == 1 && p == 6) {
+				busy = append(busy, q)
+			}
+		}
+	}
+	runClosedLoop(b, eng, busy)
+}
+
+// runClosedLoop keeps every queue two kernels deep, relaunching on each
+// completion until b.N kernels have been launched, and times the drain.
+func runClosedLoop(b *testing.B, eng *Engine, queues []*Queue) {
 	k := &Kernel{
 		Name:          "bench",
 		Kind:          Compute,
