@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"bless/internal/obs"
 	"bless/internal/sharing"
@@ -163,9 +162,8 @@ type Runtime struct {
 
 	// launchSquad scratch, reused across squads (single-threaded engine;
 	// nothing retains these past one launchSquad call).
-	planScratch []plannedLaunch
-	gateScratch []*launchGate
-	planSort    planSorter
+	planScratch  []plannedLaunch
+	entryScratch []entryRoute
 	// kdFree pools kernel-completion continuations: one is live per launched
 	// kernel, returned when it fires (see kernelDone).
 	kdFree []*kernelDone
@@ -498,28 +496,20 @@ func (rt *Runtime) launchSquad(squad *Squad, cfg ExecConfig) {
 
 	// Breadth-first launch order across entries starts cross-client
 	// concurrency as early as possible; the host serializes the 3us
-	// launches either way. The plan and gate slices are per-Runtime scratch:
+	// launches either way. The plan and route slices are per-Runtime scratch:
 	// nothing holds them past this call (closures capture value copies), and
 	// a squad launches per few kernels, so per-squad allocation adds up.
-	plan := rt.planScratch[:0]
-	defer func() { rt.planScratch = plan }()
-
-	if cap(rt.gateScratch) < len(squad.Entries) {
-		rt.gateScratch = make([]*launchGate, len(squad.Entries))
+	if cap(rt.entryScratch) < len(squad.Entries) {
+		rt.entryScratch = make([]entryRoute, len(squad.Entries))
 	}
-	gates := rt.gateScratch[:len(squad.Entries)]
-	for i := range gates {
-		gates[i] = nil
-	}
+	routes := rt.entryScratch[:len(squad.Entries)]
 	for i := range squad.Entries {
 		e := &squad.Entries[i]
 		cs := rt.clients[e.Client.ID]
 		cs.active.inFlight += len(e.Kernels)
-
+		// Unrestricted by default: the whole entry on the default context.
+		routes[i] = entryRoute{head: cs.defaultQ, tail: cs.defaultQ, split: len(e.Kernels)}
 		if !cfg.Spatial {
-			for _, k := range e.Kernels {
-				plan = append(plan, plannedLaunch{entry: e, kIdx: k, q: cs.defaultQ})
-			}
 			continue
 		}
 
@@ -528,9 +518,6 @@ func (rt *Runtime) launchSquad(squad *Squad, cfg ExecConfig) {
 			// Context establishment failed (device memory exhausted by
 			// application footprints): degrade this entry to the default
 			// unrestricted context rather than stalling the squad.
-			for _, k := range e.Kernels {
-				plan = append(plan, plannedLaunch{entry: e, kIdx: k, q: cs.defaultQ})
-			}
 			continue
 		}
 
@@ -548,51 +535,26 @@ func (rt *Runtime) launchSquad(squad *Squad, cfg ExecConfig) {
 				split = len(e.Kernels)
 			}
 		}
-		head, tail := e.Kernels[:split], e.Kernels[split:]
-		for _, k := range head {
-			plan = append(plan, plannedLaunch{entry: e, kIdx: k, q: slot.q, smTag: cfg.SMs[i]})
-		}
-		if len(tail) > 0 {
-			gate := rt.newGate()
-			gates[i] = gate
-			for _, k := range tail {
-				plan = append(plan, plannedLaunch{entry: e, kIdx: k, q: cs.defaultQ, after: gate})
-			}
+		r := &routes[i]
+		r.head, r.smTag, r.split = slot.q, cfg.SMs[i], split
+		if split < len(e.Kernels) {
+			// A gate opens when the last restricted (head) kernel of its
+			// entry completes, plus the context-switch vacuum.
+			r.gate = rt.newGate()
+			r.gate.expect = split
 		}
 	}
 
-	// Interleave entries breadth-first: sort by (position within entry,
-	// entry order). The plan was built entry-major; re-order stably. The
-	// persistent sorter keeps this allocation-free (sort.SliceStable builds
-	// its less closure and reflection swapper per call).
-	rt.planSort.plan = plan
-	sort.Stable(&rt.planSort)
-	rt.planSort.plan = nil
+	plan := appendPlan(rt.planScratch[:0], squad, routes)
+	defer func() { rt.planScratch = plan }()
 
-	// Wire gate triggers: a gate opens when the last restricted (head)
-	// kernel of its entry completes, plus the context-switch vacuum.
 	ctxSwitch := rt.env.GPU.Config().ContextSwitch
 	kLaunch := rt.env.GPU.Config().KernelLaunch
-	for i := range squad.Entries {
-		if gates[i] == nil {
-			continue
-		}
-		e := &squad.Entries[i]
-		split := 0
-		for _, pl := range plan {
-			if pl.entry == e && pl.after == nil {
-				split++
-			}
-		}
-		gates[i].expect = split
-	}
-
 	for _, pl := range plan {
-		pl := pl
 		cs := rt.clients[pl.entry.Client.ID]
 		k := &pl.entry.Client.App.Kernels[pl.kIdx]
 		kd := rt.newKernelDone(pl.entry, pl.kIdx)
-		gate := gateFor(gates, squad, pl.entry)
+		gate := routes[pl.ei].gate
 
 		if gate != nil && pl.after == nil {
 			// Head kernel: completing it counts toward opening the gate.
@@ -690,16 +652,41 @@ func (rt *Runtime) launchSquad(squad *Squad, cfg ExecConfig) {
 	}
 }
 
-// planSorter orders a squad's launch plan breadth-first: by the kernel's
-// 0-based position within its entry (kIdx - Kernels[0]), stably, so entry
-// order breaks ties. A persistent Runtime field with pointer-receiver
-// methods keeps the per-squad sort allocation-free.
-type planSorter struct{ plan []plannedLaunch }
+// entryRoute is where one squad entry's kernels launch: the first split
+// go to head (context tag smTag); the rest wait on gate, then go to tail,
+// the client's unrestricted context (Semi-SP, Fig 7c).
+type entryRoute struct {
+	head, tail *sim.Queue
+	smTag      int
+	split      int
+	gate       *launchGate // nil when split covers the whole entry
+}
 
-func (p *planSorter) Len() int      { return len(p.plan) }
-func (p *planSorter) Swap(a, b int) { p.plan[a], p.plan[b] = p.plan[b], p.plan[a] }
-func (p *planSorter) Less(a, b int) bool {
-	return p.plan[a].kIdx-p.plan[a].entry.Kernels[0] < p.plan[b].kIdx-p.plan[b].entry.Kernels[0]
+// appendPlan appends the squad's launches to plan breadth-first: every
+// entry's first kernel in entry order, then every entry's second, and so on.
+// Starting cross-client concurrency early is the point; entries' kernel
+// windows are contiguous (Squad.Validate), so position j of an entry is its
+// kernel Kernels[j].
+func appendPlan(plan []plannedLaunch, s *Squad, routes []entryRoute) []plannedLaunch {
+	depth := 0
+	for i := range s.Entries {
+		depth = max(depth, len(s.Entries[i].Kernels))
+	}
+	for j := 0; j < depth; j++ {
+		for i := range s.Entries {
+			e := &s.Entries[i]
+			if j >= len(e.Kernels) {
+				continue
+			}
+			r := &routes[i]
+			pl := plannedLaunch{entry: e, ei: i, kIdx: e.Kernels[j], q: r.head, smTag: r.smTag}
+			if j >= r.split {
+				pl.q, pl.smTag, pl.after = r.tail, 0, r.gate
+			}
+			plan = append(plan, pl)
+		}
+	}
+	return plan
 }
 
 // kernelDone is one kernel's completion continuation — the callback the sim
@@ -879,20 +866,11 @@ func (rt *Runtime) newGate() *launchGate {
 	return g
 }
 
-// gateFor finds the gate belonging to the entry, if any.
-func gateFor(gates []*launchGate, s *Squad, e *SquadEntry) *launchGate {
-	for i := range s.Entries {
-		if &s.Entries[i] == e {
-			return gates[i]
-		}
-	}
-	return nil
-}
-
 // plannedLaunch is one kernel launch in a squad's breadth-first plan
 // (launchSquad); the Runtime reuses one plan slice across squads.
 type plannedLaunch struct {
 	entry *SquadEntry
+	ei    int // entry index within the squad
 	kIdx  int
 	q     *sim.Queue
 	smTag int // context identity for vacuum accounting (0=default)

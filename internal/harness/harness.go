@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bless/internal/chaos"
@@ -198,6 +199,9 @@ func Run(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: %w", err)
 		}
+		if !slices.IsSorted(spec.Pattern.Arrivals) {
+			return nil, fmt.Errorf("harness: client %d (%s): arrivals are not ascending", i, spec.App)
+		}
 		prof, err := ProfileFor(spec.App, gpuCfg)
 		if err != nil {
 			return nil, fmt.Errorf("harness: profiling %s: %w", spec.App, err)
@@ -226,10 +230,9 @@ func Run(cfg RunConfig) (*Result, error) {
 	// Completion hook: record latency and keep closed loops spinning. Failed
 	// (aborted) requests count separately — their latency is not a service
 	// latency — but still respin a closed loop.
-	seqs := make([]int, len(clients))
-	arena := &sharing.RequestArena{}
-	submit := func(id int, at sim.Time) {
-		submitAt(env, sched, arena, clients[id], &seqs[id], at, &results[id], chs, checker)
+	in := &intake{
+		eng: eng, sched: sched, clients: clients, results: results,
+		seqs: make([]int, len(clients)), chs: chs, checker: checker,
 	}
 	env.OnComplete = func(r *sharing.Request) {
 		id := r.Client.ID
@@ -256,36 +259,31 @@ func Run(cfg RunConfig) (*Result, error) {
 		}
 		p := &specs[id].Pattern
 		if p.ClosedLoop() {
-			if p.Limit > 0 && seqs[id] >= p.Limit {
+			if p.Limit > 0 && in.seqs[id] >= p.Limit {
 				return
 			}
 			at := r.Done + p.Think
 			if at > horizon {
 				return
 			}
-			submit(id, at)
+			in.submit(id, at)
 		}
 	}
 
 	if err := sched.Deploy(env); err != nil {
 		return nil, fmt.Errorf("harness: deploy %s: %w", sched.Name(), err)
 	}
-	scheduleChurn(cfg.Faults, chs, eng, sched, clients, specs, checker, horizon, submit)
+	scheduleChurn(cfg.Faults, chs, eng, sched, clients, specs, checker, horizon, in)
 
 	// Seed arrivals for the initial deployment (joiners seed at their join
 	// instant).
 	for i := 0; i < nInitial; i++ {
 		p := &specs[i].Pattern
 		if p.ClosedLoop() {
-			submit(i, 0)
+			in.submit(i, 0)
 			continue
 		}
-		for _, at := range p.Arrivals {
-			if at > horizon {
-				break
-			}
-			submit(i, at)
-		}
+		in.seed(i, upTo(p.Arrivals, horizon))
 	}
 
 	// Run to the horizon, then drain in-flight work.
@@ -324,22 +322,57 @@ func Run(cfg RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// submitAt schedules one request submission. The accounting happens inside
-// the scheduled closure, gated on the client still being present: requests of
+// intake issues a run's requests: a closed loop one request at a time, an
+// open-loop schedule as one engine series per client. Accounting happens at
+// the arrival instant, gated on the client still being present: requests of
 // crashed or departed clients are dropped, not counted.
-func submitAt(env *sharing.Env, s sharing.Scheduler, arena *sharing.RequestArena, c *sharing.Client, seq *int, at sim.Time, cr *ClientResult, chs *chaosRun, checker *invariant.Checker) {
-	r := arena.New(c, *seq, at)
-	*seq++
-	env.Eng.Schedule(at, func() {
-		if !chs.alive[c.ID] {
-			return
-		}
-		cr.Submitted++
-		if checker != nil {
-			checker.RequestSubmitted(at, c.ID)
-		}
-		s.Submit(r)
+type intake struct {
+	eng     *sim.Engine
+	sched   sharing.Scheduler
+	arena   sharing.RequestArena
+	clients []*sharing.Client
+	results []ClientResult
+	seqs    []int // closed-loop request sequence numbers drawn so far
+	chs     *chaosRun
+	checker *invariant.Checker
+}
+
+// submit schedules client id's next closed-loop request to arrive at at.
+func (in *intake) submit(id int, at sim.Time) {
+	r := in.arena.New(in.clients[id], in.seqs[id], at)
+	in.seqs[id]++
+	in.eng.Schedule(at, func() { in.deliver(r) })
+}
+
+// seed schedules client id's open-loop arrivals (absolute, ascending) as one
+// series. Each request is minted when it arrives, numbered by its position
+// in the schedule, as one submit per arrival made up front would number it.
+func (in *intake) seed(id int, ats []sim.Time) {
+	in.eng.ScheduleSeries(ats, func(i int) {
+		in.deliver(in.arena.New(in.clients[id], i, ats[i]))
 	})
+}
+
+// deliver counts r and hands it to the scheduler, unless its client is gone.
+func (in *intake) deliver(r *sharing.Request) {
+	id := r.Client.ID
+	if !in.chs.alive[id] {
+		return
+	}
+	in.results[id].Submitted++
+	if in.checker != nil {
+		in.checker.RequestSubmitted(r.Arrival, id)
+	}
+	in.sched.Submit(r)
+}
+
+// upTo returns the prefix of the ascending times ats at or before horizon.
+func upTo(ats []sim.Time, horizon sim.Time) []sim.Time {
+	n := 0
+	for n < len(ats) && ats[n] <= horizon {
+		n++
+	}
+	return ats[:n]
 }
 
 // scheduleChurn registers the fault plan's churn events with the engine:
@@ -348,7 +381,7 @@ func submitAt(env *sharing.Env, s sharing.Scheduler, arena *sharing.RequestArena
 // the invariant checker's churn accounting in one engine instant.
 func scheduleChurn(fp *FaultPlan, chs *chaosRun, eng *sim.Engine, sched sharing.Scheduler,
 	clients []*sharing.Client, specs []ClientSpec, checker *invariant.Checker,
-	horizon sim.Time, submit func(id int, at sim.Time)) {
+	horizon sim.Time, in *intake) {
 	if fp == nil || !fp.churns() {
 		return
 	}
@@ -406,16 +439,14 @@ func scheduleChurn(fp *FaultPlan, chs *chaosRun, eng *sim.Engine, sched sharing.
 			refresh(at)
 			p := &specs[id].Pattern
 			if p.ClosedLoop() {
-				submit(id, at)
+				in.submit(id, at)
 				return
 			}
+			ats := make([]sim.Time, 0, len(p.Arrivals))
 			for _, off := range p.Arrivals {
-				t := at + off
-				if t > horizon {
-					break
-				}
-				submit(id, t)
+				ats = append(ats, at+off)
 			}
+			in.seed(id, upTo(ats, horizon))
 		})
 	}
 }

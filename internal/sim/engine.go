@@ -68,8 +68,25 @@ type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
+	ser      *series // non-nil: the queued element of a ScheduleSeries
 	canceled bool
 	index    int // heap index, -1 once popped
+}
+
+// series is one ScheduleSeries call: a run of callbacks at non-decreasing
+// times, of which only the next element sits in the heap.
+type series struct {
+	ats   []Time
+	floor Time   // clock at the ScheduleSeries call; earlier times fire then
+	seq   uint64 // sequence number reserved for ats[0]
+	next  int    // index of the queued element
+	fn    func(i int)
+}
+
+// key returns element i's heap key: the (at, seq) that the i-th of len(ats)
+// Schedule calls made at the ScheduleSeries instant would have drawn.
+func (s *series) key(i int) (Time, uint64) {
+	return max(s.ats[i], s.floor), s.seq + uint64(i)
 }
 
 // Cancel revokes the event. Canceling an already-fired or already-canceled
@@ -84,7 +101,8 @@ func (e *Event) Cancel() {
 func (e *Event) At() Time { return e.at }
 
 // before orders events by (at, seq). Every Schedule and Rearm draws a fresh
-// seq, so keys are unique and the pop order does not depend on heap layout.
+// seq and every series element a reserved one, so keys are unique and the
+// pop order does not depend on heap layout.
 func (e *Event) before(o *Event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
@@ -162,17 +180,48 @@ func (e *Engine) Now() Time { return e.now }
 // event fires at the current time (never before already-pending earlier
 // events). The returned Event may be canceled or rearmed.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = new(Event)
-	}
-	ev.fn, ev.canceled = fn, false
+	ev := e.newEvent()
+	ev.fn = fn
 	e.stamp(ev, at)
 	e.events.push(ev)
+	return ev
+}
+
+// ScheduleSeries registers fn(i) to run at each time ats[i]. The times must
+// be non-decreasing; ScheduleSeries panics otherwise. It fires every element
+// in exactly the order len(ats) Schedule calls made now would: it reserves
+// their sequence numbers at once, and times already past fire at the current
+// time. Only the next element is queued, though — element i+1 enters the
+// heap when element i fires — so a long arrival schedule neither deepens the
+// heap nor holds a closure per element. The series cannot be canceled, and
+// ats must not be modified until its last element has fired.
+func (e *Engine) ScheduleSeries(ats []Time, fn func(i int)) {
+	for i := 1; i < len(ats); i++ {
+		if ats[i] < ats[i-1] {
+			panic(fmt.Sprintf("sim: ScheduleSeries times decrease at %d: %v < %v", i, ats[i], ats[i-1]))
+		}
+	}
+	if len(ats) == 0 {
+		return
+	}
+	s := &series{ats: ats, floor: e.now, seq: e.seq, fn: fn}
+	e.seq += uint64(len(ats))
+	ev := e.newEvent()
+	ev.ser = s
+	ev.at, ev.seq = s.key(0)
+	e.events.push(ev)
+}
+
+// newEvent takes a reset event from the pool, or allocates one.
+func (e *Engine) newEvent() *Event {
+	n := len(e.free)
+	if n == 0 {
+		return new(Event)
+	}
+	ev := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	ev.canceled = false
 	return ev
 }
 
@@ -198,7 +247,7 @@ func (e *Engine) stamp(ev *Event, at Time) {
 
 // recycle returns a dead (fired or canceled-and-popped) event to the pool.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil // release the closure
+	ev.fn, ev.ser = nil, nil // release the closures
 	e.free = append(e.free, ev)
 }
 
@@ -207,7 +256,8 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.Schedule(e.now+d, fn)
 }
 
-// Pending reports the number of scheduled (possibly canceled) events.
+// Pending reports the number of queued (possibly canceled) events. A series
+// counts only its queued element, not the elements still to come.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Stop makes the currently running Run/RunUntil call return after the
@@ -235,7 +285,20 @@ func (e *Engine) Step() bool {
 	}
 	e.events.pop()
 	e.now = ev.at
-	ev.fn()
+	if s := ev.ser; s != nil {
+		// Queue the series' next element under its reserved key before the
+		// callback runs, reusing this event; recycle it after the last.
+		i := s.next
+		if s.next++; s.next < len(s.ats) {
+			ev.at, ev.seq = s.key(s.next)
+			e.events.push(ev)
+			s.fn(i)
+			return true
+		}
+		s.fn(i)
+	} else {
+		ev.fn()
+	}
 	e.recycle(ev)
 	return true
 }
@@ -276,7 +339,8 @@ func (e *Engine) runTo(deadline Time, inclusive bool) {
 }
 
 // PendingTimes appends the timestamps of every live (non-canceled) pending
-// event to buf, in ascending order, and returns the extended slice. It is the
+// event to buf, in ascending order, and returns the extended slice. A series
+// contributes every element it has yet to fire, queued or not. It is the
 // engine's canonical queue view for snapshotting: callbacks are closures and
 // cannot be serialized, but their firing instants can — two runs whose
 // engines agree on PendingTimes at a barrier hold the same schedule. The
@@ -284,7 +348,14 @@ func (e *Engine) runTo(deadline Time, inclusive bool) {
 func (e *Engine) PendingTimes(buf []Time) []Time {
 	start := len(buf)
 	for _, ev := range e.events {
-		if ev != nil && !ev.canceled {
+		switch {
+		case ev.canceled:
+		case ev.ser != nil:
+			for i := ev.ser.next; i < len(ev.ser.ats); i++ {
+				at, _ := ev.ser.key(i)
+				buf = append(buf, at)
+			}
+		default:
 			buf = append(buf, ev.at)
 		}
 	}

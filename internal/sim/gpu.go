@@ -156,9 +156,13 @@ type launchRecord struct {
 // queues. A queue belongs to exactly one context and inherits its SM limit,
 // isolation and priority.
 type Queue struct {
-	ctx     *Context
-	id      int
+	ctx *Context
+	id  int
+	// pending[head:] is the FIFO backlog. Dispatch advances head rather than
+	// sliding the backlog down; head resets to 0 whenever the backlog
+	// empties, and pushPending compacts only when the slice is full.
 	pending []launchRecord
+	head    int
 	run     *exec // currently executing head, nil if idle
 	paused  bool
 	label   string
@@ -173,7 +177,7 @@ func (q *Queue) Context() *Context { return q.ctx }
 
 // Len reports the number of kernels in the queue, including the running one.
 func (q *Queue) Len() int {
-	n := len(q.pending)
+	n := len(q.backlog())
 	if q.run != nil {
 		n++
 	}
@@ -181,7 +185,10 @@ func (q *Queue) Len() int {
 }
 
 // Idle reports whether the queue has no running and no pending kernels.
-func (q *Queue) Idle() bool { return q.run == nil && len(q.pending) == 0 }
+func (q *Queue) Idle() bool { return q.run == nil && len(q.backlog()) == 0 }
+
+// backlog returns the kernels queued behind the running one, oldest first.
+func (q *Queue) backlog() []launchRecord { return q.pending[q.head:] }
 
 // Label returns the debug label given at creation.
 func (q *Queue) Label() string { return q.label }
@@ -194,7 +201,7 @@ func (q *Queue) Pause() {
 		q.paused = true
 		// A queue that is mid-kernel or has nothing queued dispatches nothing
 		// either way: pausing it leaves the runnable set untouched.
-		if q.run != nil || len(q.pending) == 0 {
+		if q.run != nil || len(q.backlog()) == 0 {
 			q.ctx.gpu.rescheduleLight()
 		} else {
 			q.ctx.gpu.reschedule()
@@ -208,7 +215,7 @@ func (q *Queue) Resume() {
 		q.paused = false
 		// Only a resumable head (idle queue with a backlog) can change the
 		// runnable set.
-		if q.run != nil || len(q.pending) == 0 {
+		if q.run != nil || len(q.backlog()) == 0 {
 			q.ctx.gpu.rescheduleLight()
 		} else {
 			q.ctx.gpu.reschedule()
@@ -231,22 +238,24 @@ type PendingKernel struct {
 // kernel, if any, is not preempted (GPU kernels are un-preemptable) and
 // completes normally. Removal is reported to RemovalTracer subscribers.
 func (q *Queue) CancelPending() []PendingKernel {
-	if len(q.pending) == 0 {
+	backlog := q.backlog()
+	if len(backlog) == 0 {
 		return nil
 	}
 	g := q.ctx.gpu
-	out := make([]PendingKernel, len(q.pending))
+	out := make([]PendingKernel, len(backlog))
 	var ks []*Kernel
 	if len(g.removalTracers) > 0 {
-		ks = make([]*Kernel, len(q.pending))
+		ks = make([]*Kernel, len(backlog))
 	}
-	for i, rec := range q.pending {
+	for i, rec := range backlog {
 		out[i] = PendingKernel{K: rec.k, OnDone: rec.onDone}
 		if ks != nil {
 			ks[i] = rec.k
 		}
 	}
-	q.pending = q.pending[:0]
+	clear(backlog) // release the completion closures
+	q.pending, q.head = q.pending[:0], 0
 	g.unlinkIfIdle(q)
 	for _, t := range g.removalTracers {
 		t.KernelsRemoved(g.eng.Now(), q, ks)
@@ -626,7 +635,8 @@ func (g *GPU) notifyEnqueued(q *Queue, k *Kernel) {
 func (g *GPU) Loads(buf []QueueLoad) []QueueLoad {
 	buf = buf[:0]
 	for _, q := range g.queues {
-		ql := QueueLoad{Queue: q, Pending: len(q.pending), Paused: q.paused}
+		backlog := q.backlog()
+		ql := QueueLoad{Queue: q, Pending: len(backlog), Paused: q.paused}
 		if e := q.run; e != nil {
 			ql.Running = e.rec.k
 			ql.Alloc = e.alloc
@@ -634,8 +644,8 @@ func (g *GPU) Loads(buf []QueueLoad) []QueueLoad {
 			if e.rec.k.IsCompute() {
 				ql.Want = float64(e.rec.k.SMDemand(0, g.cfg.SMs))
 			}
-		} else if len(q.pending) > 0 {
-			if head := q.pending[0].k; head.IsCompute() {
+		} else if len(backlog) > 0 {
+			if head := backlog[0].k; head.IsCompute() {
 				ql.Want = float64(head.SMDemand(0, g.cfg.SMs))
 			}
 		}
@@ -667,7 +677,7 @@ func (q *Queue) Enqueue(at Time, k *Kernel, onDone func(at Time)) {
 func (q *Queue) enqueueNow(rec launchRecord) {
 	g := q.ctx.gpu
 	blocked := q.run != nil || q.paused
-	q.pending = append(q.pending, rec)
+	q.pushPending(rec)
 	g.markBusy(q)
 	g.notifyEnqueued(q, rec.k)
 	if blocked {
@@ -695,14 +705,25 @@ func (g *GPU) freeExec(e *exec) {
 	g.execPool = append(g.execPool, e)
 }
 
-// popPending removes and returns the queue's head record, sliding the backlog
-// down so the slice keeps its capacity (a [1:] reslice would leak the front
-// and re-allocate on every enqueue/dispatch cycle).
+// pushPending appends rec to the backlog. Only when the slice is full and
+// dispatched records sit before head does it first slide the backlog down,
+// so capacity grows only when the backlog itself fills the slice.
+func (q *Queue) pushPending(rec launchRecord) {
+	if len(q.pending) == cap(q.pending) && q.head > 0 {
+		n := copy(q.pending, q.backlog())
+		clear(q.pending[n:])
+		q.pending, q.head = q.pending[:n], 0
+	}
+	q.pending = append(q.pending, rec)
+}
+
+// popPending removes and returns the oldest backlog record in O(1).
 func (q *Queue) popPending() launchRecord {
-	rec := q.pending[0]
-	copy(q.pending, q.pending[1:])
-	q.pending[len(q.pending)-1] = launchRecord{}
-	q.pending = q.pending[:len(q.pending)-1]
+	rec := q.pending[q.head]
+	q.pending[q.head] = launchRecord{} // release the completion closure
+	if q.head++; q.head == len(q.pending) {
+		q.pending, q.head = q.pending[:0], 0
+	}
 	return rec
 }
 
@@ -752,7 +773,7 @@ func (g *GPU) unlinkIfIdle(q *Queue) {
 func (g *GPU) runningExecs(buf []*exec) []*exec {
 	out := buf[:0]
 	for q := g.busyHead; q != nil; q = q.busyNext {
-		if q.run == nil && !q.paused && len(q.pending) > 0 {
+		if q.run == nil && !q.paused && len(q.backlog()) > 0 {
 			rec := q.popPending()
 			e := g.newExec()
 			e.q, e.rec, e.started = q, rec, g.eng.Now()
@@ -820,11 +841,15 @@ func (g *GPU) reschedule() {
 	execBuf := g.execBuf
 	g.execBuf = nil
 
+	// Retire finished kernels, starting queued successors, until none is
+	// left to retire; then rate the final runnable set once. Retirement
+	// reads only remaining, which advance integrated, and a freshly started
+	// kernel has remaining >= 1 (Kernel.Validate), so a second round never
+	// retires anything.
 	var execs []*exec
 	for {
 		execs = g.runningExecs(execBuf)
 		execBuf = execs
-		g.assignRates(execs)
 		finished := false
 		for _, e := range execs {
 			if e.remaining <= 0.5 {
@@ -851,6 +876,7 @@ func (g *GPU) reschedule() {
 			break
 		}
 	}
+	g.assignRates(execs)
 
 	// Record whether any compute kernel is running, for busy-time accounting.
 	g.lastAnyBusy = false
@@ -1070,7 +1096,7 @@ func (g *GPU) assignRates(execs []*exec) {
 			// Within the context, max-min across its kernels.
 			kd := g.kdBuf[:0]
 			for _, e := range tier[groups[i].start:groups[i].end] {
-				kd = append(kd, float64(e.rec.k.SMDemand(e.q.ctx.SMLimit, g.cfg.SMs)))
+				kd = append(kd, e.demand)
 			}
 			g.kdBuf = kd
 			var kg []float64

@@ -36,6 +36,8 @@ echo "== bench: untraced observability fast path (must stay zero-alloc) =="
 bench 'BenchmarkUntracedSpanPath$' ./internal/obs/
 echo "== bench: experiment batch (serial vs parallel executor) =="
 bench 'BenchmarkExperimentBatch' ./internal/harness/
+echo "== bench: open-loop colocate (arrival schedule known up front) =="
+bench 'BenchmarkOpenLoopColocate$' ./internal/harness/
 echo "== bench: end-to-end simulator throughput =="
 bench 'BenchmarkSimulatorThroughput$' .
 echo "== bench: fleet control plane (smoke scenario) =="
