@@ -3,6 +3,7 @@ package planner
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -29,36 +30,81 @@ func fleetPlanRequest() FleetPlanRequest {
 	}
 }
 
+// TestFleetRoute pins the placement-only answer: each tenant's device (or
+// rejection reason) and each device's resulting subscription.
 func TestFleetRoute(t *testing.T) {
-	p := New()
-	req := FleetRouteRequest{
-		Devices: []FleetDevice{{SMs: 108}, {SMs: 108}},
-		Tenants: []FleetTenantPlan{
-			{Name: "a", App: "vgg11", Quota: 0.4},
-			{Name: "b", App: "resnet50", Quota: 0.4},
-			{Name: "c", App: "resnet50", Quota: 0.9}, // nothing fits
+	type load struct {
+		tenants int
+		quota   float64
+		mem     int64
+	}
+	cases := []struct {
+		name    string
+		req     FleetRouteRequest
+		assign  []FleetAssignment
+		devices []load
+	}{{
+		// Least-loaded spreads the first two across the pool; the third
+		// fits nowhere.
+		name: "two-a100",
+		req: FleetRouteRequest{
+			Devices: []FleetDevice{{SMs: 108}, {SMs: 108}},
+			Tenants: []FleetTenantPlan{
+				{Name: "a", App: "vgg11", Quota: 0.4},
+				{Name: "b", App: "resnet50", Quota: 0.4},
+				{Name: "c", App: "resnet50", Quota: 0.9},
+			},
 		},
-	}
-	var reply FleetRouteReply
-	if err := p.FleetRoute(req, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Assignments) != 3 {
-		t.Fatalf("assignments = %d, want 3", len(reply.Assignments))
-	}
-	// Least-loaded spreads the first two across the pool.
-	if reply.Assignments[0].Device != 0 || reply.Assignments[1].Device != 1 {
-		t.Errorf("placement %v, want devices 0 and 1", reply.Assignments[:2])
-	}
-	rej := reply.Assignments[2]
-	if rej.Device != -1 || rej.Reason == "" {
-		t.Errorf("over-quota tenant not rejected: %+v", rej)
-	}
-	if len(reply.Devices) != 2 {
-		t.Fatalf("device loads = %d, want 2", len(reply.Devices))
-	}
-	if reply.Devices[0].QuotaSubscribed != 0.4 {
-		t.Errorf("device 0 subscription %g, want 0.4", reply.Devices[0].QuotaSubscribed)
+		assign: []FleetAssignment{
+			{Tenant: "a", Device: 0},
+			{Tenant: "b", Device: 1},
+			{Tenant: "c", Device: -1, Reason: `fleet: admitting "c": no device fits: device gpu1: quota 0.40 + 0.90 exceeds capacity`},
+		},
+		devices: []load{{1, 0.4, 2327838720}, {1, 0.4, 1908408320}},
+	}, {
+		name: "mixed-classes",
+		req: FleetRouteRequest{
+			Devices: []FleetDevice{{SMs: 108}, {SMs: 108}, {Name: "a30", SMs: 80, MemoryGB: 24}},
+			Tenants: []FleetTenantPlan{
+				{Name: "a", App: "vgg11", Quota: 0.4},
+				{Name: "b", App: "resnet50", Quota: 0.4},
+				{Name: "c", App: "resnet50", Quota: 0.9},
+				{Name: "d", App: "bert", Quota: 0.3},
+				{Name: "e", App: "resnet101", Quota: 0.2},
+				{Name: "f", App: "vgg11", Quota: 0.5},
+				{App: "resnet50", Quota: 0.25},
+			},
+		},
+		assign: []FleetAssignment{
+			{Tenant: "a", Device: 0},
+			{Tenant: "b", Device: 1},
+			{Tenant: "c", Device: 2},
+			{Tenant: "d", Device: 0},
+			{Tenant: "e", Device: 1},
+			{Tenant: "f", Device: -1, Reason: `fleet: admitting "f": no device fits: device a30: quota 0.90 + 0.50 exceeds capacity`},
+			{Tenant: "t6", Device: 1},
+		},
+		devices: []load{{2, 0.7, 5075107840}, {3, 0.8500000000000001, 6249512960}, {1, 0.9, 1908408320}},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var reply FleetRouteReply
+			if err := New().FleetRoute(tc.req, &reply); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(reply.Assignments, tc.assign) {
+				t.Errorf("assignments\n got %+v\nwant %+v", reply.Assignments, tc.assign)
+			}
+			if len(reply.Devices) != len(tc.devices) {
+				t.Fatalf("device loads = %d, want %d", len(reply.Devices), len(tc.devices))
+			}
+			for i, want := range tc.devices {
+				d := reply.Devices[i]
+				if got := (load{d.Tenants, d.QuotaSubscribed, d.MemSubscribed}); got != want {
+					t.Errorf("device %d subscription %+v, want %+v", i, got, want)
+				}
+			}
+		})
 	}
 }
 
