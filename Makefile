@@ -32,17 +32,17 @@ test-sim-nondeterminism:
 ## test-sim-import-export: the export-side snapshot gate — the wire format
 ## (round trip, golden header/digest, forward-incompatibility and corruption
 ## rejection) plus the export matrix: snapshots cut at every barrier point
-## must be bit-identical across exporting shard counts.
+## must decode and re-export to identical bytes.
 test-sim-import-export:
 	$(GO) test -race -count=1 ./internal/snapshot/
 	$(GO) test -race -count=1 \
-		-run 'TestImportExport|TestSnapshotMidFaultRetry|TestSnapshotCrashRecovery|TestSnapshotQuiescent|TestSnapshotRejectsUnserializable|TestVerifyImport' \
+		-run 'TestImportExport|TestSnapshotMidFaultRetry|TestSnapshotCrashRecovery|TestSnapshotQuiescent|TestSnapshotRejectsUnserializable|TestVerifyImport|TestImportIgnoresReservedHeader' \
 		./internal/harness/
 
 ## test-sim-after-import: the restore-side gate — import, replay to the
 ## barrier, byte-identity proof, continue; completion digest, checker digest
 ## and stats must match the uninterrupted run across the multi-seed ×
-## barrier-point × shard-count matrix (including cross-count export/import).
+## barrier-point matrix.
 test-sim-after-import:
 	$(GO) test -race -count=1 -run 'TestSimulationAfterImport' ./internal/harness/
 

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -22,22 +21,13 @@ import (
 //     scheduled in reverse order must not move the digest by a bit.
 //
 // smoke scales down to 24 tenants x 4 devices (the check.sh gate).
-//
-// With shards > 0 it instead runs the shard-determinism gate: the scenario
-// executes once on a single shard (the serial reference) and once across
-// `shards` engine shards — plus a shard-mapping permutation — and any digest
-// drift fails the run, writing the repro string to reproOut (the CI
-// artifact).
-func runFleet(smoke bool, seed int64, parallel, shards int, reproOut string) error {
+func runFleet(smoke bool, seed int64, parallel int) error {
 	tenants, devices, horizon := 200, 32, 250*sim.Millisecond
 	if smoke {
 		tenants, devices, horizon = 24, 4, 60*sim.Millisecond
 	}
 	sc := harness.FleetScenarioN(seed, tenants, devices, horizon)
 	sc.Repro = fmt.Sprintf("go run ./cmd/blessbench -fleet -seed %d", seed)
-	if shards > 0 {
-		return runFleetSharded(sc, smoke, seed, shards, reproOut)
-	}
 
 	start := time.Now()
 	ref, err := harness.RunFleet(sc)
@@ -124,82 +114,5 @@ func runFleet(smoke bool, seed int64, parallel, shards int, reproOut string) err
 		ref.Digest, ref.Invariants.Digest, len(copies))
 	fmt.Printf("  invariants: %d events folded, %d routed, %d completed, %d rerouted, 0 violations ✓\n",
 		ref.Invariants.Events, ref.Invariants.Routed, ref.Invariants.Completed, ref.Invariants.Rerouted)
-	return nil
-}
-
-// runFleetSharded is the shard-determinism gate behind -fleet -shards N:
-// the 1-shard reference, the N-shard run (including a device crash timed to
-// land mid-migration, so exchange records are in flight), and an N-shard
-// run with the device→shard mapping reversed must agree on every digest.
-// On drift the repro string is written to reproOut for the CI artifact.
-func runFleetSharded(sc harness.FleetScenario, smoke bool, seed int64, shards int, reproOut string) error {
-	// Fold a crash into the scenario: the cross-shard recovery paths are
-	// exactly what the matrix exists to gate.
-	if len(sc.Migrations) > 0 {
-		sc = sc.WithDeviceCrash(1, sc.Migrations[0].At)
-	}
-	repro := fmt.Sprintf("go run ./cmd/blessbench -fleet -seed %d -shards %d", seed, shards)
-	if smoke {
-		repro += " -smoke"
-	}
-	sc.Repro = repro
-
-	fail := func(format string, args ...any) error {
-		msg := fmt.Sprintf(format, args...)
-		artifact := fmt.Sprintf("fleet shard-determinism failure\nrepro: %s\n%s\n", repro, msg)
-		if err := os.WriteFile(reproOut, []byte(artifact), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing repro artifact %s: %v\n", reproOut, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "repro artifact written to %s\n", reproOut)
-		}
-		return fmt.Errorf("fleet -shards %d: %s", shards, msg)
-	}
-
-	run := func(n int, shardOf func(int) int) (*harness.FleetResult, time.Duration, error) {
-		cp := sc
-		cp.Shards = n
-		cp.ShardOf = shardOf
-		start := time.Now()
-		res, err := harness.RunFleet(cp)
-		return res, time.Since(start), err
-	}
-
-	ref, serialWall, err := run(1, nil)
-	if err != nil {
-		return fmt.Errorf("fleet -shards: serial reference: %w", err)
-	}
-	if err := ref.Invariants.Err(); err != nil {
-		return fail("serial reference violated invariants: %v", err)
-	}
-	got, wall, err := run(shards, nil)
-	if err != nil {
-		return fmt.Errorf("fleet -shards %d: %w", shards, err)
-	}
-	if err := got.Invariants.Err(); err != nil {
-		return fail("sharded run violated invariants: %v", err)
-	}
-	if got.Digest != ref.Digest {
-		return fail("completion digest drifted: %d shards %016x != serial %016x", shards, got.Digest, ref.Digest)
-	}
-	if got.Invariants.Digest != ref.Invariants.Digest {
-		return fail("checker digest drifted: %d shards %016x != serial %016x", shards, got.Invariants.Digest, ref.Invariants.Digest)
-	}
-	perm, _, err := run(shards, func(dev int) int { return shards - 1 - dev%shards })
-	if err != nil {
-		return fmt.Errorf("fleet -shards %d (permuted mapping): %w", shards, err)
-	}
-	if perm.Digest != ref.Digest || perm.Invariants.Digest != ref.Invariants.Digest {
-		return fail("permuted device→shard mapping moved a digest: %016x/%016x vs %016x/%016x",
-			perm.Digest, perm.Invariants.Digest, ref.Digest, ref.Invariants.Digest)
-	}
-
-	st := got.Stats
-	fmt.Printf("fleet shards: %d tenants over %d devices, horizon %v, crash mid-migration\n",
-		len(sc.Tenants), len(sc.Devices), sc.Horizon)
-	fmt.Printf("  serial %v | %d shards %v | routed %d completed %d resubmitted %d migrations %d crashes %d\n",
-		serialWall.Round(time.Millisecond), shards, wall.Round(time.Millisecond),
-		st.Routed, st.Completed, st.Resubmitted, st.Migrations, st.DeviceCrashes)
-	fmt.Printf("  digests: completion %016x  checker %016x — identical at 1 and %d shards (+permuted mapping) ✓\n",
-		ref.Digest, ref.Invariants.Digest, shards)
 	return nil
 }

@@ -30,12 +30,6 @@
 // benchmark-smoke file flag: bare -smoke selects fleet-smoke mode alongside
 // -fleet, -smoke=FILE writes the benchmark summary.
 //
-// Sharding: -fleet -shards N runs the shard-determinism gate instead — the
-// same scenario (plus a device crash timed mid-migration) on one engine
-// shard, on N shards, and on N shards with the device→shard mapping
-// reversed; any completion- or checker-digest drift fails the run and
-// writes a repro string to -repro-out (the CI artifact).
-//
 // Snapshot/restore: -fleet -snapshot FILE cuts the fleet scenario at a
 // virtual-time barrier (-snapshot-at, in virtual milliseconds; default half
 // the horizon) and writes the canonical digest-sealed snapshot to FILE.
@@ -43,8 +37,7 @@
 // scenario is replayed to the barrier, the replayed state proven
 // byte-identical to the snapshot's state section, and the run continued to
 // completion — failing unless completion digest, checker digest and stats
-// match an uninterrupted run. -shards applies to the replay side too, so an
-// export cut at one shard count restores at any other.
+// match an uninterrupted run.
 package main
 
 import (
@@ -73,11 +66,9 @@ func main() {
 	fleetFlag := flag.Bool("fleet", false, "run the fleet control-plane scenario (200 tenants, 32-GPU pool) and verify invariants + digest identity; with -smoke: reduced scale")
 	seed := flag.Int64("seed", 7, "seed for the fleet control plane's deterministic decisions")
 	parallel := flag.Int("parallel", 0, "worker count for independent experiment runs (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-	shards := flag.Int("shards", 0, "with -fleet: engine-shard count for the sharded run; compares its digests against the 1-shard reference and fails on any drift (0 = legacy three-way check)")
-	reproOut := flag.String("repro-out", "fleet-shard-repro.txt", "with -fleet -shards: file the repro string is written to when digests mismatch (the CI artifact)")
 	snapPath := flag.String("snapshot", "", "with -fleet: cut the scenario at a virtual-time barrier and write the canonical snapshot to this file")
 	snapAt := flag.Float64("snapshot-at", 0, "with -fleet -snapshot: barrier instant in virtual milliseconds (0 = half the horizon)")
-	snapImport := flag.String("snapshot-import", "", "restore a snapshot file in this process: replay to the barrier, prove byte-identity, continue, and verify digests against the uninterrupted run (-shards overrides the replay shard count)")
+	snapImport := flag.String("snapshot-import", "", "restore a snapshot file in this process: replay to the barrier, prove byte-identity, continue, and verify digests against the uninterrupted run")
 	flag.Parse()
 
 	if *invariants {
@@ -86,7 +77,7 @@ func main() {
 	}
 
 	if *snapImport != "" {
-		if err := runSnapshotImport(*snapImport, *shards); err != nil {
+		if err := runSnapshotImport(*snapImport); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -97,7 +88,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-snapshot needs -fleet (it cuts the fleet scenario)")
 			os.Exit(2)
 		}
-		if err := runSnapshotExport(*snapPath, smoke.set && smoke.val == "", *seed, *shards, *snapAt); err != nil {
+		if err := runSnapshotExport(*snapPath, smoke.set && smoke.val == "", *seed, *snapAt); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -105,7 +96,7 @@ func main() {
 	}
 
 	if *fleetFlag {
-		if err := runFleet(smoke.set && smoke.val == "", *seed, *parallel, *shards, *reproOut); err != nil {
+		if err := runFleet(smoke.set && smoke.val == "", *seed, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

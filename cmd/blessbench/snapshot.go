@@ -17,17 +17,14 @@ import (
 // and -snapshot-at overrides it in virtual milliseconds.
 //
 // The exported bytes are process-independent: restore them with
-// `blessbench -snapshot-import FILE` (any -shards count) or feed them to
-// blessd's Planner.Restore.
-func runSnapshotExport(path string, smoke bool, seed int64, shards int, atMS float64) error {
+// `blessbench -snapshot-import FILE` or feed them to blessd's
+// Planner.Restore.
+func runSnapshotExport(path string, smoke bool, seed int64, atMS float64) error {
 	tenants, devices, horizon := 200, 32, 250*sim.Millisecond
 	if smoke {
 		tenants, devices, horizon = 24, 4, 60*sim.Millisecond
 	}
 	sc := harness.FleetScenarioN(seed, tenants, devices, horizon)
-	if shards > 0 {
-		sc.Shards = shards
-	}
 	smokeFlag := ""
 	if smoke {
 		smokeFlag = " -smoke"
@@ -63,28 +60,22 @@ func runSnapshotExport(path string, smoke bool, seed int64, shards int, atMS flo
 // proof. The snapshot's embedded scenario is replayed to the barrier, the
 // replayed state compared byte-for-byte against the snapshot's state section,
 // the run continued to completion, and the final digests checked against an
-// uninterrupted replay of the same scenario. -shards overrides the replay's
-// engine-shard count (0 = the exporting run's count); either way the digests
-// must not move.
-func runSnapshotImport(path string, shards int) error {
+// uninterrupted replay of the same scenario.
+func runSnapshotImport(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("snapshot import: %w", err)
 	}
 	start := time.Now()
-	v, err := harness.VerifyImport(data, shards)
+	v, err := harness.VerifyImport(data)
 	if err != nil {
 		return fmt.Errorf("snapshot import %s: %w", path, err)
 	}
 	wall := time.Since(start)
 	snap := v.Snapshot
-	replayShards := shards
-	if replayShards <= 0 {
-		replayShards = snap.Shards
-	}
 	st := v.Imported.Stats
-	fmt.Printf("snapshot import: %s (%d bytes) — barrier %v, exported at %d shard(s), replayed at %d, wall %v\n",
-		path, len(data), snap.BarrierAt, snap.Shards, replayShards, wall.Round(time.Millisecond))
+	fmt.Printf("snapshot import: %s (%d bytes) — barrier %v, wall %v\n",
+		path, len(data), snap.BarrierAt, wall.Round(time.Millisecond))
 	fmt.Printf("  replay proof: state at %v byte-identical (digest %016x)\n",
 		snap.BarrierAt, snapshot.StateDigest(&snap.State))
 	fmt.Printf("  routed %d  completed %d  failed %d  | migrations %d  rebalances %d  crashes %d\n",

@@ -192,7 +192,7 @@ func (p *Planner) FleetRoute(req FleetRouteRequest, reply *FleetRouteReply) erro
 		p.reg.Counter("plan_errors_total").Inc()
 		return err
 	}
-	f, err := fleet.New(sim.NewEngine(), fleet.Config{
+	f, err := fleet.New(fleet.Config{
 		Devices: specs,
 		Policy:  fleetPolicy(req.Policy),
 		Profile: fleetProfile,

@@ -35,10 +35,6 @@ type SnapshotRequest struct {
 	// half the plan's horizon). A scenario that drains before the barrier
 	// snapshots its final quiescent state.
 	AtMS float64
-	// Shards is the exporting run's engine-shard count (0 or 1 = single).
-	// The canonical state excludes per-shard internals, so the snapshot
-	// bytes are identical at every count.
-	Shards int
 }
 
 // SnapshotReply is the cut snapshot and its summary.
@@ -59,9 +55,6 @@ type SnapshotReply struct {
 type RestoreRequest struct {
 	// Snapshot is a Planner.Snapshot (or blessbench -snapshot) encoding.
 	Snapshot []byte
-	// Shards overrides the replay's engine-shard count (0 = the exporting
-	// run's count) — execution strategy only, digests are unaffected.
-	Shards int
 }
 
 // RestoreReply is the completed run's outcome plus the restore provenance.
@@ -92,7 +85,6 @@ func (p *Planner) Snapshot(req SnapshotRequest, reply *SnapshotReply) error {
 		p.reg.Counter("plan_errors_total").Inc()
 		return err
 	}
-	sc.Shards = req.Shards
 	at := ms(req.AtMS)
 	if at <= 0 {
 		at = sc.Horizon / 2
@@ -135,7 +127,7 @@ func (p *Planner) Restore(req RestoreRequest, reply *RestoreReply) error {
 		p.reg.Counter("plan_errors_total").Inc()
 		return err
 	}
-	res, err := harness.ImportFleet(req.Snapshot, req.Shards)
+	res, err := harness.ImportFleet(req.Snapshot)
 	if err != nil {
 		p.reg.Counter("plan_errors_total").Inc()
 		return err

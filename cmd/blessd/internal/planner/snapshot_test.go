@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,9 +10,8 @@ import (
 )
 
 // TestSnapshotRestoreRoundTrip is the RPC-level restore proof: cut a
-// snapshot mid-migration, restore it at a different shard count, and require
-// the completed run to land on the same digest FleetPlan reports for the
-// uninterrupted scenario.
+// snapshot mid-migration, restore it, and require the completed run to land
+// on the same digest FleetPlan reports for the uninterrupted scenario.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p := New()
 	req := fleetPlanRequest()
@@ -41,7 +41,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	var restored RestoreReply
-	if err := p.Restore(RestoreRequest{Snapshot: snapReply.Snapshot, Shards: 2}, &restored); err != nil {
+	if err := p.Restore(RestoreRequest{Snapshot: snapReply.Snapshot}, &restored); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if restored.Digest != ref.Digest {
@@ -56,6 +56,34 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if len(restored.Violations) != 0 {
 		t.Fatalf("violations after restore: %v", restored.Violations)
+	}
+}
+
+// TestRestoreIgnoresReservedHeader: the snapshot header slot that once
+// carried a shard count is untrusted input. Set to math.MaxInt64 it must be
+// ignored, and Restore must reply with the uninterrupted run's digest.
+func TestRestoreIgnoresReservedHeader(t *testing.T) {
+	p := New()
+	req := fleetPlanRequest()
+	var ref FleetPlanReply
+	if err := p.FleetPlan(req, &ref); err != nil {
+		t.Fatal(err)
+	}
+	var snapReply SnapshotReply
+	if err := p.Snapshot(SnapshotRequest{Plan: req, AtMS: 20.05}, &snapReply); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Decode(snapReply.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Reserved = math.MaxInt64
+	var restored RestoreReply
+	if err := p.Restore(RestoreRequest{Snapshot: snapshot.Encode(snap)}, &restored); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if restored.Digest != ref.Digest || len(restored.Violations) != 0 {
+		t.Fatalf("restored digest %s (violations %v), want %s", restored.Digest, restored.Violations, ref.Digest)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // TestAdmitBatch: a valid batch admits atomically-validated and in order.
 func TestAdmitBatch(t *testing.T) {
-	_, f := pool(t, 2, nil)
+	f := pool(t, 2, nil)
 	specs := []TenantSpec{
 		{Name: "a", App: "resnet50", Quota: 0.4},
 		{Name: "b", App: "vgg11", Quota: 0.4},
@@ -29,7 +29,7 @@ func TestAdmitBatch(t *testing.T) {
 // TestAdmitBatchValidatesUpFront: any invalid spec rejects the whole batch
 // before a single tenant places.
 func TestAdmitBatchValidatesUpFront(t *testing.T) {
-	_, f := pool(t, 2, nil)
+	f := pool(t, 2, nil)
 	if err := f.Admit(TenantSpec{Name: "incumbent", App: "resnet50", Quota: 0.3}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestAdmitBatchValidatesUpFront(t *testing.T) {
 // TestAdmitBatchStopsAtCapacity: when the pool runs out mid-batch, the
 // error names where admission stopped and the prefix stays admitted.
 func TestAdmitBatchStopsAtCapacity(t *testing.T) {
-	_, f := pool(t, 1, nil)
+	f := pool(t, 1, nil)
 	specs := []TenantSpec{
 		{Name: "a", App: "resnet50", Quota: 0.6},
 		{Name: "b", App: "vgg11", Quota: 0.6},

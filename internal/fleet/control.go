@@ -11,8 +11,8 @@ import (
 // the fleet snapshots itself and derives all decisions — scale-up,
 // scale-down, rebalance moves — as pure functions of (seed, epoch,
 // snapshot). Nothing reads wall clocks or map order, so two runs of the
-// same scenario (serial, parallel workers, permuted trigger order) tick
-// through identical epochs and produce bit-identical digests.
+// same scenario (on any worker, with permuted trigger order) tick through
+// identical epochs and produce bit-identical digests.
 
 // RebalanceConfig tunes the fleet rebalancer.
 type RebalanceConfig struct {
@@ -85,9 +85,9 @@ func (c *AutoscaleConfig) low() float64 {
 	return 0.30
 }
 
-// Start arms the control loop: one tick per rebalance interval up to the
+// armTicks arms the control loop: one tick per rebalance interval up to the
 // horizon. Without a Rebalance config it is a no-op.
-func (f *Fleet) Start(horizon sim.Time) {
+func (f *Fleet) armTicks(horizon sim.Time) {
 	if f.cfg.Rebalance == nil {
 		return
 	}
@@ -232,7 +232,7 @@ func spread(snap Snapshot) float64 {
 // least-subscribed live device while the spread exceeds the threshold and
 // the move shrinks it. Candidate selection sorts by quota (biggest first),
 // tie-broken by a seeded hash of (seed, epoch, tenant) then name — the
-// deterministic derivation that keeps every execution mode bit-identical.
+// deterministic derivation that keeps repeated runs bit-identical.
 func planRebalance(seed, epoch int64, snap Snapshot, threshold float64, maxMoves int) []move {
 	// Working copies of live-device subscriptions and tenant placement.
 	type devState struct {
@@ -335,11 +335,4 @@ func nonEmpty(s, fallback string) string {
 		return s
 	}
 	return fallback
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,21 +13,16 @@
 // 108-SM one and the profiles used for placement are re-derived per device
 // class.
 //
-// A fleet runs in one of two execution modes. In embedded mode (New) every
-// device shares the caller's engine and the caller drives submissions and
-// control events directly — the mode unit tests and admission-only probes
-// use. In sharded mode (NewSharded) each device is pinned to one of N
-// engine shards advanced in lock-step windows by Run, with every
-// cross-device interaction — routing flips, migration drains, crash
-// recovery, control ticks — applied at window barriers in a canonical
-// order. Cross-device rules are defined per device, never per shard, so the
-// device→shard mapping is pure execution strategy: a run at any shard count
-// (including one) is bit-identical to any other. Control decisions that can
-// arrive in any order within one instant (migration triggers) are applied
-// in a canonical order, so permuting the trigger order cannot change the
-// outcome, and rebalance plans are pure functions of (seed, epoch,
-// snapshot) — the discipline that keeps serial and parallel runs
-// bit-identical.
+// Every device runs on one sim.Engine; control-plane decisions (ticks,
+// migration triggers, crashes) run on a second, control engine. Run advances
+// the device engine in windows that end at barriers, and everything
+// cross-device — routing flips, migration drains, crash recovery, control
+// ticks, invariant-checker feeding — is applied at those barriers in a
+// canonical (time, device, per-device ordinal) order. Control decisions that
+// can arrive in any order within one instant (migration triggers) are
+// applied in a canonical order, so permuting the trigger order cannot change
+// the outcome, and rebalance plans are pure functions of (seed, epoch,
+// snapshot). Together these fix the event order the determinism digests pin.
 package fleet
 
 import (
@@ -98,10 +93,9 @@ type TenantSpec struct {
 	// for the SLO-attainment routing policy.
 	SLOTarget sim.Time
 	// Think is the closed-loop think time between a completion and the
-	// tenant's next submission. Only sharded runs (Fleet.Run) drive the
-	// closed loop; embedded-mode callers submit explicitly.
+	// tenant's next submission; no submission is scheduled past the horizon.
 	Think sim.Time
-	// Requests bounds the tenant's submissions in a sharded run (0 = keep
+	// Requests bounds the tenant's closed-loop submissions (0 = keep
 	// submitting until the horizon).
 	Requests int
 }
@@ -121,9 +115,8 @@ type Config struct {
 	Runtime core.Options
 	// InjectorFor, when set, builds a per-device fault injector attached to
 	// that device's runtime (overriding Runtime.Injector). Injectors are
-	// per-device so each is touched only by its device's shard — sharing one
-	// stateful injector across devices would make fault decisions depend on
-	// the shard mapping.
+	// per-device so each device's fault decisions depend on that device
+	// alone.
 	InjectorFor func(device int) core.FaultInjector
 	// Policy selects the routing policy (default PolicyLeastLoaded).
 	Policy Policy
@@ -139,18 +132,11 @@ type Config struct {
 	// Autoscale enables the autoscaler (nil = disabled). Requires Rebalance
 	// (the control loop ticks on its interval).
 	Autoscale *AutoscaleConfig
-	// Shards is the engine-shard count for NewSharded (0 or 1 = one shard;
-	// the coordinator/exchange path runs identically at every count).
-	Shards int
-	// ShardOf optionally overrides the device→shard mapping (default:
-	// device id modulo shard count). The mapping is execution strategy
-	// only; permuting it cannot change a run's digests.
-	ShardOf func(device int) int
 	// ExchangeLatency is the cross-device handoff latency ε applied to
-	// migration-drain completion notifications in sharded runs (default
-	// 100µs virtual). It models the routing-layer hop between a draining
-	// source device and the tenant's owner, and bounds every lock-step
-	// window so no shard can outrun a message addressed to it.
+	// migration-drain completion notifications (default 100µs virtual). It
+	// models the routing-layer hop between a draining source device and the
+	// tenant's owner, and bounds every window so no device event can run
+	// past a message that would change it.
 	ExchangeLatency sim.Time
 }
 
@@ -204,8 +190,8 @@ type tenant struct {
 	latencySum sim.Time
 	migrations int
 
-	// timers are the pending closed-loop submit events (sharded runs).
-	// They live on the owner shard's engine and move with the host.
+	// timers are the pending closed-loop submit events; they are re-keyed
+	// whenever the host flips.
 	timers []*workTimer
 }
 
@@ -225,9 +211,8 @@ type device struct {
 	retired  bool // cordoned by the autoscaler: no new placements
 	dead     bool // crashed
 
-	shard  *shardState // the engine shard this device is pinned to
-	outSeq uint64      // per-device exchange-record ordinal (canonical tie-break)
-	chkSeq uint64      // per-device checker-event ordinal (canonical tie-break)
+	outSeq uint64 // per-device exchange-record ordinal (canonical tie-break)
+	chkSeq uint64 // per-device checker-event ordinal (canonical tie-break)
 
 	nextLocal int
 	residents map[int]*residency // local ID -> residency (live and draining)
@@ -241,26 +226,25 @@ type device struct {
 }
 
 // Fleet is a running control plane. Not safe for concurrent use; like the
-// engine it drives, a fleet is single-threaded within one simulation.
+// engines it drives, a fleet is single-threaded within one simulation.
 type Fleet struct {
-	eng     *sim.Engine // embedded-mode engine (nil in sharded mode)
-	ctrl    *sim.Engine // control-plane engine (== eng in embedded mode)
+	eng     *sim.Engine // every device's engine
+	ctrl    *sim.Engine // control-plane engine: ticks, triggers, crashes
 	cfg     Config
 	policy  Policy
 	profile ProfileFunc
 	checker *invariant.FleetChecker
+	arena   sharing.RequestArena // chunked request allocation
 
-	// Sharded execution (NewSharded). The coordinator state — exchange
-	// inbox, drain count, window bookkeeping — is only touched at barriers.
-	sharded bool
-	set     *sim.ShardSet
-	shards  []*shardState
+	// Run state. The exchange inbox, drain count and window bookkeeping are
+	// only touched at barriers.
 	eps     sim.Time // exchange latency ε, the windows' lookahead bound
 	horizon sim.Time
 	began   bool       // Begin ran: timers armed, control ticks scheduled
-	window  sim.Time   // start of the current lock-step window (last barrier)
-	inbox   []drainRec // pending cross-shard deliveries, (deliver, dev, seq) order
-	chkBuf  []chkRec   // scratch for the per-window checker-event sort
+	window  sim.Time   // start of the current window (last barrier)
+	inbox   []drainRec // pending drain deliveries, (deliver, dev, seq) order
+	outbox  []drainRec // drain records produced this window
+	chk     []chkRec   // checker events produced this window
 
 	drainCount int // live migration-drain residencies fleet-wide
 
@@ -278,25 +262,9 @@ type Fleet struct {
 	stats Stats
 }
 
-// New assembles the pool and its per-device runtimes on the given engine —
-// embedded mode: the caller owns the engine and drives submissions and
-// control events directly.
-func New(eng *sim.Engine, cfg Config) (*Fleet, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("fleet: nil engine")
-	}
-	f, err := newFleet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	f.eng, f.ctrl = eng, eng
-	f.shards = []*shardState{{id: 0, eng: eng}}
-	return f, f.addInitialDevices()
-}
-
-// newFleet validates the config and builds the engine-less skeleton shared
-// by both constructors.
-func newFleet(cfg Config) (*Fleet, error) {
+// New assembles the pool and its per-device runtimes. Admit tenants, then
+// drive the run with Run (or Begin and RunTo).
+func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Devices) == 0 {
 		return nil, fmt.Errorf("fleet: need at least one device")
 	}
@@ -304,10 +272,13 @@ func newFleet(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: Autoscale requires Rebalance (the control loop ticks on its interval)")
 	}
 	f := &Fleet{
+		eng:     sim.NewEngine(),
+		ctrl:    sim.NewEngine(),
 		cfg:     cfg,
 		policy:  cfg.Policy,
 		profile: cfg.Profile,
 		checker: cfg.Checker,
+		eps:     cfg.ExchangeLatency,
 		tenants: make(map[string]*tenant),
 	}
 	if f.policy == "" {
@@ -319,33 +290,24 @@ func newFleet(cfg Config) (*Fleet, error) {
 	if f.profile == nil {
 		f.profile = defaultProfile
 	}
+	if f.eps <= 0 {
+		f.eps = DefaultExchangeLatency
+	}
+	for _, spec := range cfg.Devices {
+		if _, err := f.AddDevice(spec); err != nil {
+			return nil, err
+		}
+	}
 	return f, nil
 }
 
-func (f *Fleet) addInitialDevices() error {
-	for _, spec := range f.cfg.Devices {
-		if _, err := f.AddDevice(spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// NewSharded is New under its former name.
+//
+// Deprecated: use New.
+func NewSharded(cfg Config) (*Fleet, error) { return New(cfg) }
 
-// now is the control-plane clock: the shared engine in embedded mode, the
-// control engine in sharded mode. Only valid outside shard windows.
+// now is the control-plane clock. Only valid at barriers.
 func (f *Fleet) now() sim.Time { return f.ctrl.Now() }
-
-// shardIndex maps a device to its engine shard.
-func (f *Fleet) shardIndex(dev int) int {
-	n := len(f.shards)
-	if n == 1 {
-		return 0
-	}
-	if f.cfg.ShardOf != nil {
-		return ((f.cfg.ShardOf(dev) % n) + n) % n
-	}
-	return dev % n
-}
 
 // AddDevice grows the pool by one device and returns its index. The device's
 // runtime deploys lazily with its first resident.
@@ -360,7 +322,6 @@ func (f *Fleet) AddDevice(spec DeviceSpec) (int, error) {
 	if spec.Name == "" {
 		spec.Name = fmt.Sprintf("gpu%d", len(f.devices))
 	}
-	sh := f.shards[f.shardIndex(len(f.devices))]
 	opts := f.cfg.Runtime
 	if f.cfg.InjectorFor != nil {
 		opts.Injector = f.cfg.InjectorFor(len(f.devices))
@@ -369,15 +330,14 @@ func (f *Fleet) AddDevice(spec DeviceSpec) (int, error) {
 		id:        len(f.devices),
 		spec:      spec,
 		cfg:       cfg,
-		gpu:       sim.NewGPU(sh.eng, cfg),
+		gpu:       sim.NewGPU(f.eng, cfg),
 		rt:        core.New(opts),
 		bus:       obs.NewBus(),
 		reg:       obs.NewRegistry(),
 		slo:       obs.NewSLOTracker(),
-		shard:     sh,
 		residents: make(map[int]*residency),
 	}
-	d.env = &sharing.Env{Eng: sh.eng, GPU: d.gpu}
+	d.env = &sharing.Env{Eng: f.eng, GPU: d.gpu}
 	// The obs signals are the device's load registry: request counters and
 	// the latency histogram stream in from the runtime's decision bus.
 	reg := d.reg
@@ -534,8 +494,8 @@ func (f *Fleet) Submit(name string) (*sharing.Request, error) {
 	return f.submit(t)
 }
 
-// submit issues the tenant's next request on its owner shard. In a sharded
-// run it is only called from the owner shard (timers) or at barriers.
+// submit issues the tenant's next request on its host device, from a
+// closed-loop timer or at a barrier.
 func (f *Fleet) submit(t *tenant) (*sharing.Request, error) {
 	if t.evicted {
 		return nil, fmt.Errorf("fleet: tenant %q was evicted", t.spec.Name)
@@ -543,25 +503,22 @@ func (f *Fleet) submit(t *tenant) (*sharing.Request, error) {
 	seq := t.nextSeq
 	t.nextSeq++
 	res := t.host
-	sh := res.dev.shard
-	now := sh.eng.Now()
-	r := sh.arena.New(res.client, seq, now)
+	now := f.eng.Now()
+	r := f.arena.New(res.client, seq, now)
 	res.dev.rt.Submit(r)
 	t.pending[seq] = res
 	res.pending++
 	res.dev.inflight++
-	sh.routed++
-	f.noteRouted(sh, now, res.dev, t, seq)
+	f.stats.Routed++
+	f.note(now, res.dev, chkRouted, t, seq, false)
 	return r, nil
 }
 
 // completed is every device's env.OnComplete: it settles the device-local
 // request accounting and feeds the SLO tracker. Completions of live (owner)
 // residencies settle the tenant-side accounting in place; completions of
-// draining migration sources in a sharded run instead emit an exchange
-// record delivered to the owner ε later at a barrier — the tenant may be
-// owned by another shard, and the ε rule applies at every shard count so
-// the shard mapping stays execution-only.
+// draining migration sources instead emit an exchange record delivered to
+// the owner ε later at a barrier.
 func (f *Fleet) completed(dev *device, r *sharing.Request) {
 	res, ok := dev.residents[r.Client.ID]
 	if !ok {
@@ -584,13 +541,12 @@ func (f *Fleet) completed(dev *device, r *sharing.Request) {
 		}
 	}
 	dev.slo.Observe(t.spec.Name, t.spec.SLOTarget, lat, r.Failed)
-	sh := dev.shard
-	if f.sharded && res.draining {
+	if res.draining {
 		drained := res.pending == 0
 		if drained {
 			f.finishDrainLocal(res, r.Done)
 		}
-		sh.outbox = append(sh.outbox, drainRec{
+		f.outbox = append(f.outbox, drainRec{
 			deliver: r.Done + f.eps, at: r.Done,
 			dev: dev.id, seq: dev.outSeq,
 			res: res, rseq: r.Seq, failed: r.Failed, lat: lat,
@@ -602,27 +558,22 @@ func (f *Fleet) completed(dev *device, r *sharing.Request) {
 	delete(t.pending, r.Seq)
 	if r.Failed {
 		t.failed++
-		sh.failed++
+		f.stats.Failed++
 	} else {
 		t.completed++
-		sh.done++
+		f.stats.Completed++
 		t.latencySum += lat
 		t.lats = append(t.lats, lat)
 	}
 	t.order = append(t.order, r.Seq)
-	f.noteCompleted(sh, r.Done, dev, t, r.Seq, r.Failed)
-	if res.draining && res.pending == 0 {
-		f.finishDrain(res)
-	}
-	if f.sharded {
-		f.scheduleNext(t, r.Seq, r.Done, 0)
-	}
+	f.note(r.Done, dev, chkCompleted, t, r.Seq, r.Failed)
+	f.scheduleNext(t, r.Seq, r.Done, 0)
 }
 
 // finishDrain retires a migration-source residency whose backlog has
 // finished: the runtime has released the client (graceful-leave semantics),
-// so the fleet-side subscription drops with it. Embedded mode and barriers
-// only; window-time drain finishes go through finishDrainLocal.
+// so the fleet-side subscription drops with it. Barriers only; drains that
+// finish inside a window go through finishDrainLocal.
 func (f *Fleet) finishDrain(res *residency) {
 	dev, t := res.dev, res.t
 	delete(dev.residents, res.local)
@@ -647,37 +598,15 @@ func (f *Fleet) removeDrain(t *tenant, res *residency) {
 	}
 }
 
-// Stats returns the control-plane counters, shard-local tallies merged.
-func (f *Fleet) Stats() Stats {
-	s := f.stats
-	for _, sh := range f.shards {
-		s.Routed += sh.routed
-		s.Completed += sh.done
-		s.Failed += sh.failed
-		s.MigrationsCompleted += sh.drained
-	}
-	return s
-}
+// Stats returns the control-plane counters.
+func (f *Fleet) Stats() Stats { return f.stats }
 
 // Devices returns the pool size, retired and crashed devices included.
 func (f *Fleet) Devices() int { return len(f.devices) }
 
-// Engine returns the shared simulation engine in embedded mode; nil for a
-// sharded fleet (devices live on per-shard engines there).
-func (f *Fleet) Engine() *sim.Engine { return f.eng }
-
-// Elapsed reports the fleet's virtual time: the furthest device clock in a
-// sharded run, the shared engine's clock in embedded mode.
-func (f *Fleet) Elapsed() sim.Time {
-	if !f.sharded {
-		return f.eng.Now()
-	}
-	at := f.set.Now()
-	if c := f.ctrl.Now(); c > at {
-		at = c
-	}
-	return at
-}
+// Elapsed reports the fleet's virtual time: the later of the device and
+// control clocks.
+func (f *Fleet) Elapsed() sim.Time { return max(f.eng.Now(), f.ctrl.Now()) }
 
 // TenantResult is one tenant's final outcome.
 type TenantResult struct {
@@ -722,9 +651,8 @@ func (f *Fleet) Results() []TenantResult {
 
 // CompletionDigest folds every tenant's outcome — app, completion order,
 // failure count, eviction — into one timing-free FNV-1a digest. Two runs of
-// the same scenario must match bit-for-bit regardless of execution mode
-// (serial vs parallel workers) or of the order same-instant migration
-// triggers arrived in.
+// the same scenario must match bit-for-bit regardless of which worker runs
+// them or of the order same-instant migration triggers arrived in.
 func (f *Fleet) CompletionDigest() uint64 {
 	h := fnv.New64a()
 	names := append([]string(nil), f.names...)

@@ -31,22 +31,37 @@ func testProfile(app string, cfg sim.Config) (*model.App, *profiler.Profile, err
 	return a, p, nil
 }
 
-func pool(t *testing.T, n int, checker *invariant.FleetChecker) (*sim.Engine, *Fleet) {
+// pool builds an n-device fleet and begins a run with horizon 0. Tenants
+// admitted after Begin get no t=0 submission, and past the horizon no
+// completion schedules a follow-up, so every request is an explicit Submit
+// at a paused barrier.
+func pool(t *testing.T, n int, checker *invariant.FleetChecker) *Fleet {
 	t.Helper()
-	eng := sim.NewEngine()
 	devices := make([]DeviceSpec, n)
 	for i := range devices {
 		devices[i] = DeviceClass("", 108, 40<<30)
 	}
-	f, err := New(eng, Config{Devices: devices, Profile: testProfile, Checker: checker})
+	f, err := New(Config{Devices: devices, Profile: testProfile, Checker: checker})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, f
+	if err := f.Begin(0); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// runTo advances the fleet to the barrier at stop (stop < 0 runs to
+// completion).
+func runTo(t *testing.T, f *Fleet, stop sim.Time) {
+	t.Helper()
+	if _, err := f.RunTo(stop); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAdmitRoutesLeastLoaded(t *testing.T) {
-	_, f := pool(t, 3, nil)
+	f := pool(t, 3, nil)
 	for i, name := range []string{"a", "b", "c"} {
 		if err := f.Admit(TenantSpec{Name: name, App: "resnet50", Quota: 0.3}); err != nil {
 			t.Fatal(err)
@@ -66,7 +81,7 @@ func TestAdmitRoutesLeastLoaded(t *testing.T) {
 }
 
 func TestAdmitRejectsWhenNothingFits(t *testing.T) {
-	_, f := pool(t, 2, nil)
+	f := pool(t, 2, nil)
 	for _, name := range []string{"a", "b"} {
 		if err := f.Admit(TenantSpec{Name: name, App: "resnet50", Quota: 0.9}); err != nil {
 			t.Fatal(err)
@@ -85,7 +100,7 @@ func TestAdmitRejectsWhenNothingFits(t *testing.T) {
 }
 
 func TestDuplicateTenantAndBadQuota(t *testing.T) {
-	_, f := pool(t, 1, nil)
+	f := pool(t, 1, nil)
 	if err := f.Admit(TenantSpec{Name: "a", App: "vgg11", Quota: 0.4}); err != nil {
 		t.Fatal(err)
 	}
@@ -99,36 +114,48 @@ func TestDuplicateTenantAndBadQuota(t *testing.T) {
 
 func TestMigrateDrainsSourceAndFlipsRouting(t *testing.T) {
 	checker := invariant.NewFleetChecker(invariant.FleetOptions{})
-	eng, f := pool(t, 2, checker)
+	f := pool(t, 2, checker)
 	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	// Backlog on the source, then migrate mid-flight.
-	eng.Schedule(0, func() {
-		for i := 0; i < 3; i++ {
-			f.Submit("a")
+	for i := 0; i < 3; i++ {
+		if _, err := f.Submit("a"); err != nil {
+			t.Fatal(err)
 		}
-	})
-	eng.Schedule(sim.Millisecond, func() {
-		if err := f.Migrate("a", 1); err != nil {
-			t.Errorf("migrate: %v", err)
-		}
-		// New work after the trigger flows to the target.
-		f.Submit("a")
-	})
-	eng.Run()
+	}
+	runTo(t, f, sim.Millisecond)
+	if err := f.Migrate("a", 1); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	// The move applies at the end of the instant: routing flips to the
+	// target while the source keeps draining its backlog.
+	runTo(t, f, sim.Millisecond)
+	snap := f.Snapshot()
+	if snap.Tenants[0].Device != 1 || len(snap.Tenants[0].Draining) != 1 {
+		t.Fatalf("after the trigger: tenant on device %d draining %v, want device 1 draining one source",
+			snap.Tenants[0].Device, snap.Tenants[0].Draining)
+	}
+	// New work after the trigger flows to the target.
+	if _, err := f.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	if f.Snapshot().Devices[1].Inflight != 1 {
+		t.Fatal("post-trigger request did not land on the target")
+	}
+	runTo(t, f, -1)
 	st := f.Stats()
 	if st.Migrations != 1 || st.MigrationsCompleted != 1 {
 		t.Fatalf("migrations=%d completed=%d, want 1/1", st.Migrations, st.MigrationsCompleted)
 	}
-	snap := f.Snapshot()
+	snap = f.Snapshot()
 	if snap.Tenants[0].Device != 1 {
 		t.Fatalf("tenant ended on device %d, want 1", snap.Tenants[0].Device)
 	}
 	if snap.Devices[0].QuotaSubscribed != 0 {
 		t.Fatalf("source still subscribed %g after drain", snap.Devices[0].QuotaSubscribed)
 	}
-	rep := checker.Report(eng.Now())
+	rep := checker.Report(f.Elapsed())
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,28 +165,28 @@ func TestMigrateDrainsSourceAndFlipsRouting(t *testing.T) {
 }
 
 func TestMigrateRejectsSecondWhileDraining(t *testing.T) {
-	eng, f := pool(t, 3, nil)
+	f := pool(t, 3, nil)
 	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	var second error
-	eng.Schedule(0, func() {
-		f.Submit("a")
-		f.Migrate("a", 1)
-	})
+	if _, err := f.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Migrate("a", 1); err != nil {
+		t.Fatal(err)
+	}
 	// The move applies at the end of instant 0; by 1ms the source is
 	// draining and a second migration must be refused.
-	eng.Schedule(sim.Millisecond, func() { second = f.Migrate("a", 2) })
-	eng.RunUntil(2 * sim.Millisecond)
-	if second == nil {
+	runTo(t, f, sim.Millisecond)
+	if err := f.Migrate("a", 2); err == nil {
 		t.Fatal("second migration accepted while the first still drains")
 	}
-	eng.Run()
+	runTo(t, f, -1)
 }
 
 func TestCrashEvictsWhenNoCapacity(t *testing.T) {
 	checker := invariant.NewFleetChecker(invariant.FleetOptions{})
-	eng, f := pool(t, 2, checker)
+	f := pool(t, 2, checker)
 	// Fill device 1 completely so a's tenant cannot be re-placed.
 	if err := f.Admit(TenantSpec{Name: "a", App: "resnet50", Quota: 0.9}); err != nil {
 		t.Fatal(err)
@@ -167,9 +194,14 @@ func TestCrashEvictsWhenNoCapacity(t *testing.T) {
 	if err := f.Admit(TenantSpec{Name: "b", App: "resnet50", Quota: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Schedule(0, func() { f.Submit("a") })
-	eng.Schedule(sim.Millisecond, func() { f.CrashDevice(0) })
-	eng.Run()
+	if _, err := f.Submit("a"); err != nil {
+		t.Fatal(err)
+	}
+	runTo(t, f, sim.Millisecond)
+	if err := f.CrashDevice(0); err != nil {
+		t.Fatal(err)
+	}
+	runTo(t, f, -1)
 	st := f.Stats()
 	if st.Evicted != 1 {
 		t.Fatalf("evicted=%d, want 1", st.Evicted)
@@ -178,7 +210,7 @@ func TestCrashEvictsWhenNoCapacity(t *testing.T) {
 		t.Fatal("submit to evicted tenant succeeded")
 	}
 	// Eviction is exempt from the delivery check, like a crashed client.
-	if err := checker.Report(eng.Now()).Err(); err != nil {
+	if err := checker.Report(f.Elapsed()).Err(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -147,12 +147,10 @@ func (f *Fleet) CrashDevice(id int) error {
 		return fmt.Errorf("fleet: device %s already crashed", d.spec.Name)
 	}
 	now := f.now()
-	if f.sharded {
-		// Deliver the device's in-flight exchange records first: those
-		// completions happened before the crash, and resubmitting them from
-		// the teardown would duplicate a delivery.
-		f.flushDead(id, now)
-	}
+	// Deliver the device's in-flight exchange records first: those
+	// completions happened before the crash, and resubmitting them from the
+	// teardown would duplicate a delivery.
+	f.flushDead(id, now)
 	d.dead = true
 	d.retired = true
 	f.stats.DeviceCrashes++
@@ -237,7 +235,7 @@ func (f *Fleet) resubmit(t *tenant, dead *device) {
 	host := t.host
 	now := f.now()
 	for _, seq := range seqs {
-		r := host.dev.shard.arena.New(host.client, seq, now)
+		r := f.arena.New(host.client, seq, now)
 		host.dev.rt.Submit(r)
 		t.pending[seq] = host
 		host.pending++

@@ -9,21 +9,18 @@ import (
 )
 
 // ExportState captures the fleet's complete observable logical state at the
-// current barrier of a paused sharded run (RunTo with a stop point). Every
-// section is keyed on canonical entities — devices by id, tenants in
-// admission order, outstanding requests by ascending sequence, exchange
-// records by their (deliver, dev, seq) key — and per-shard engine internals
-// are reduced to the merged multiset of pending event instants, so the same
-// logical state exports to identical bytes at any shard count or mapping.
+// current barrier of a paused run (RunTo with a stop point). Every section is
+// keyed on canonical entities — devices by id, tenants in admission order,
+// outstanding requests by ascending sequence, exchange records by their
+// (deliver, dev, seq) key — and engine internals are reduced to the sorted
+// pending event instants, so the same logical state always exports to
+// identical bytes.
 //
 // Pending engine events are closures; their firing instants are captured
 // (EventTimes/ControlTimes) but their behavior is reconstructed on import by
 // replaying the generating scenario to the same barrier, then proving the
 // replayed export matches this one byte-for-byte.
 func (f *Fleet) ExportState() (*snapshot.State, error) {
-	if !f.sharded {
-		return nil, fmt.Errorf("fleet: ExportState requires a sharded fleet (NewSharded)")
-	}
 	if !f.began {
 		return nil, fmt.Errorf("fleet: ExportState before Begin")
 	}
@@ -156,10 +153,7 @@ func (f *Fleet) ExportState() (*snapshot.State, error) {
 	}
 
 	st.ControlTimes = f.ctrl.PendingTimes(nil)
-	for _, sh := range f.shards {
-		st.EventTimes = sh.eng.PendingTimes(st.EventTimes)
-	}
-	sort.Slice(st.EventTimes, func(i, j int) bool { return st.EventTimes[i] < st.EventTimes[j] })
+	st.EventTimes = f.eng.PendingTimes(nil)
 
 	if f.checker != nil {
 		cp := f.checker.Checkpoint()

@@ -17,7 +17,7 @@ import (
 // plane. A FleetScenario is declarative — pool, tenants, workload, planned
 // migrations, device crashes, autoscaling — and RunFleet drives it as one
 // deterministic virtual-time simulation, with the fleet invariant checker
-// attached and the timing-free completion digest computed for cross-mode
+// attached and the timing-free completion digest computed for cross-run
 // comparison (serial vs parallel workers, permuted migration order).
 
 // FleetTenant describes one tenant and its closed-loop workload.
@@ -64,14 +64,6 @@ type FleetScenario struct {
 	Migrations []FleetMigration
 	// DeviceCrashes kill pool devices mid-run (chaos schedule).
 	DeviceCrashes []chaos.DeviceEvent
-	// Shards is the engine-shard count (0 or 1 = single shard). Every
-	// count runs the same coordinator/exchange path and produces
-	// bit-identical digests; N > 1 runs device windows across N goroutines.
-	Shards int
-	// ShardOf optionally overrides the device→shard mapping — execution
-	// strategy only, so permuting it cannot move a digest (the metamorphic
-	// suite asserts exactly that).
-	ShardOf func(device int) int
 	// ExchangeLatency overrides the cross-device handoff latency ε (0 =
 	// fleet.DefaultExchangeLatency).
 	ExchangeLatency sim.Time
@@ -89,7 +81,7 @@ type FleetScenario struct {
 // FleetFaultPlan is a declarative fleet-wide fault spec: each device gets
 // its own chaos.Injector compiled from these rates under a device-derived
 // seed, so fault decisions are pure in (seed, device, client, seq, kernel,
-// attempt) and independent of the shard mapping.
+// attempt).
 type FleetFaultPlan struct {
 	// Seed keys every hashed fault decision (device-mixed per injector).
 	Seed int64
@@ -135,8 +127,8 @@ type FleetResult struct {
 	Stats   fleet.Stats
 	// Invariants is the fleet checker's report (nil unless requested).
 	Invariants *invariant.FleetReport
-	// Digest is the timing-free completion digest — identical across
-	// execution modes for one scenario.
+	// Digest is the timing-free completion digest — identical across runs
+	// of one scenario.
 	Digest uint64
 	// Elapsed is the final virtual time.
 	Elapsed sim.Time
@@ -157,11 +149,7 @@ func fleetProfile(app string, cfg sim.Config) (*model.App, *profiler.Profile, er
 	return a, p, nil
 }
 
-// RunFleet drives the scenario to completion and reports. Every run — any
-// sc.Shards, including the default single shard — goes through the fleet's
-// sharded coordinator, so the closed-loop workload, migration drains and
-// crash recovery follow the same exchange semantics at every shard count
-// and the digests are bit-identical across counts and shard mappings.
+// RunFleet drives the scenario to completion and reports.
 func RunFleet(sc FleetScenario) (*FleetResult, error) {
 	f, checker, horizon, err := buildFleet(sc)
 	if err != nil {
@@ -194,7 +182,7 @@ func buildFleet(sc FleetScenario) (*fleet.Fleet, *invariant.FleetChecker, sim.Ti
 	if sc.Faults != nil {
 		injectorFor = sc.Faults.injectorFor()
 	}
-	f, err := fleet.NewSharded(fleet.Config{
+	f, err := fleet.New(fleet.Config{
 		Seed:            sc.Seed,
 		Devices:         sc.Devices,
 		Runtime:         sc.Runtime,
@@ -204,8 +192,6 @@ func buildFleet(sc FleetScenario) (*fleet.Fleet, *invariant.FleetChecker, sim.Ti
 		Checker:         checker,
 		Rebalance:       sc.Rebalance,
 		Autoscale:       sc.Autoscale,
-		Shards:          sc.Shards,
-		ShardOf:         sc.ShardOf,
 		ExchangeLatency: sc.ExchangeLatency,
 	})
 	if err != nil {

@@ -215,3 +215,32 @@ func BenchmarkFleetSmoke(b *testing.B) {
 		}
 	}
 }
+
+// fleetBenchScenario is the 32-GPU benchmark scenario: BenchmarkFleetSmoke
+// scale in device count, trimmed in horizon so one iteration stays tractable.
+func fleetBenchScenario(seed int64) FleetScenario {
+	return FleetScenarioN(seed, 96, 32, 80*sim.Millisecond)
+}
+
+// BenchmarkFleet32 is the 32-GPU fleet's wall-clock envelope, gated in
+// BENCH_sim.json. Its digest is pinned in TestFleetPinnedDigests; here it
+// only has to stay stable across iterations.
+func BenchmarkFleet32(b *testing.B) {
+	b.ReportAllocs()
+	sc := fleetBenchScenario(7)
+	var digest uint64
+	for i := 0; i < b.N; i++ {
+		res, err := RunFleet(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := res.Invariants.Err(); err != nil {
+			b.Fatal(err)
+		}
+		if digest == 0 {
+			digest = res.Digest
+		} else if res.Digest != digest {
+			b.Fatalf("digest drifted across iterations: %016x vs %016x", res.Digest, digest)
+		}
+	}
+}

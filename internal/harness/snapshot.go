@@ -27,13 +27,11 @@ import (
 
 // ExportFleet drives the scenario to the virtual-time barrier at, cuts a
 // snapshot there, and returns its canonical encoding. The barrier is forced
-// at exactly at (digest-neutral — it only splits lock-step windows); a
-// scenario that drains before at exports its final quiescent state.
+// at exactly at (digest-neutral — it only splits windows); a scenario that
+// drains before at exports its final quiescent state.
 //
 // Function-valued scenario fields cannot be serialized: a non-nil
-// Runtime.TraceSquad or Runtime.Injector is an error, and ShardOf (pure
-// execution strategy, digest-invariant by the shard metamorphic suite) is
-// dropped rather than captured.
+// Runtime.TraceSquad or Runtime.Injector is an error.
 func ExportFleet(sc FleetScenario, at sim.Time) ([]byte, error) {
 	if at < 0 {
 		return nil, fmt.Errorf("harness: snapshot barrier %v is negative", at)
@@ -49,7 +47,6 @@ func ExportFleet(sc FleetScenario, at sim.Time) ([]byte, error) {
 	if err := f.Begin(horizon); err != nil {
 		return nil, err
 	}
-	defer f.Finish()
 	if _, err := f.RunTo(at); err != nil {
 		return nil, err
 	}
@@ -57,13 +54,9 @@ func ExportFleet(sc FleetScenario, at sim.Time) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := sc.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	snap := &snapshot.Snapshot{
 		Seed:      sc.Seed,
-		Shards:    shards,
+		Reserved:  1,
 		BarrierAt: at,
 		Horizon:   horizon,
 		Scenario:  wire,
@@ -76,28 +69,19 @@ func ExportFleet(sc FleetScenario, at sim.Time) ([]byte, error) {
 // ImportFleet restores a snapshot: decode, replay the embedded scenario to
 // the snapshot barrier, prove the replayed state matches the snapshot's
 // state section byte-for-byte, then continue the run to completion and
-// report. shards overrides the engine-shard count for the replay (0 = the
-// exporting run's count) — the mapping is execution strategy, so a snapshot
-// cut at one count imports at any other with identical state and digests.
-func ImportFleet(data []byte, shards int) (*FleetResult, error) {
+// report.
+func ImportFleet(data []byte) (*FleetResult, error) {
 	snap, err := snapshot.Decode(data)
 	if err != nil {
 		return nil, err
 	}
-	sc := scenarioFromWire(snap.Scenario)
-	if shards > 0 {
-		sc.Shards = shards
-	} else {
-		sc.Shards = snap.Shards
-	}
-	f, checker, horizon, err := buildFleet(sc)
+	f, checker, horizon, err := buildFleet(scenarioFromWire(snap.Scenario))
 	if err != nil {
 		return nil, fmt.Errorf("harness: rebuilding snapshot scenario: %w", err)
 	}
 	if err := f.Begin(horizon); err != nil {
 		return nil, err
 	}
-	defer f.Finish()
 	if _, err := f.RunTo(snap.BarrierAt); err != nil {
 		return nil, err
 	}
@@ -130,16 +114,13 @@ type ImportVerdict struct {
 // snapshot-replay stage and `blessbench -snapshot-import` run: import the
 // snapshot (which already proves the replayed barrier state byte-identical),
 // continue to completion, replay the embedded scenario uninterrupted, and
-// require completion digest, checker digest and stats to agree. shards is
-// the import-side engine-shard count (0 = the exporting run's count); the
-// reference runs single-shard, which the shard metamorphic suite makes
-// equivalent.
-func VerifyImport(data []byte, shards int) (*ImportVerdict, error) {
+// require completion digest, checker digest and stats to agree.
+func VerifyImport(data []byte) (*ImportVerdict, error) {
 	snap, err := snapshot.Decode(data)
 	if err != nil {
 		return nil, err
 	}
-	imported, err := ImportFleet(data, shards)
+	imported, err := ImportFleet(data)
 	if err != nil {
 		return nil, err
 	}

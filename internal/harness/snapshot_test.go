@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"bless/internal/chaos"
@@ -11,10 +13,10 @@ import (
 
 // Snapshot/restore suite — the wasmd test-sim-import-export /
 // test-sim-after-import discipline. The headline guarantee: for any
-// seed/scenario/shard count, run-to-T → export → import into a fresh fleet →
-// continue produces completion, invariant and checker digests bit-identical
-// to the uninterrupted run, including snapshots cut mid-migration,
-// mid-fault-retry, and around a device crash.
+// seed/scenario, run-to-T → export → import into a fresh fleet → continue
+// produces completion, invariant and checker digests bit-identical to the
+// uninterrupted run, including snapshots cut mid-migration, mid-fault-retry,
+// and around a device crash.
 
 // snapshotPoints picks the barrier instants the matrix cuts at: early
 // (closed loops ramping), the migration trigger instant itself, mid-drain
@@ -39,53 +41,42 @@ func mustExport(t *testing.T, sc FleetScenario, at sim.Time) []byte {
 	return data
 }
 
-func mustImport(t *testing.T, data []byte, shards int) *FleetResult {
+func mustImport(t *testing.T, data []byte) *FleetResult {
 	t.Helper()
-	res, err := ImportFleet(data, shards)
+	res, err := ImportFleet(data)
 	if err != nil {
-		t.Fatalf("import at shards=%d: %v", shards, err)
+		t.Fatalf("import: %v", err)
 	}
 	return res
 }
 
 // TestImportExport proves the export side: a snapshot cut at a barrier is
-// decodable, self-consistent, and — because the canonical state excludes
-// per-shard internals — bit-identical no matter how many engine shards the
-// exporting run used. The mid-drain point must actually catch a migration in
-// flight for the matrix to mean anything.
+// decodable, self-consistent, and exports to the same bytes on a second run.
+// The mid-drain point must actually catch a migration in flight for the
+// matrix to mean anything.
 func TestImportExport(t *testing.T) {
 	sc := smokeFleetScenario(7)
 	for name, at := range snapshotPoints(sc) {
-		var ref *snapshot.Snapshot
-		for _, shards := range []int{1, 2, 4} {
-			run := sc
-			run.Shards = shards
-			data := mustExport(t, run, at)
-			snap, err := snapshot.Decode(data)
-			if err != nil {
-				t.Fatalf("%s shards=%d: decode: %v", name, shards, err)
-			}
-			if snap.BarrierAt != at || snap.State.At != at {
-				t.Fatalf("%s shards=%d: barrier %v / state %v, want %v", name, shards, snap.BarrierAt, snap.State.At, at)
-			}
-			if len(snap.State.Tenants) != len(sc.Tenants) {
-				t.Fatalf("%s shards=%d: %d tenants in state, want %d", name, shards, len(snap.State.Tenants), len(sc.Tenants))
-			}
-			if snap.State.Checker == nil {
-				t.Fatalf("%s shards=%d: checker state missing", name, shards)
-			}
-			if ref == nil {
-				ref = snap
-				continue
-			}
-			if got, want := snapshot.StateDigest(&snap.State), snapshot.StateDigest(&ref.State); got != want {
-				t.Fatalf("%s: state at shards=%d (%016x) differs from shards=1 (%016x) — shard mapping leaked into canonical state",
-					name, shards, got, want)
-			}
+		data := mustExport(t, sc, at)
+		snap, err := snapshot.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if snap.BarrierAt != at || snap.State.At != at {
+			t.Fatalf("%s: barrier %v / state %v, want %v", name, snap.BarrierAt, snap.State.At, at)
+		}
+		if len(snap.State.Tenants) != len(sc.Tenants) {
+			t.Fatalf("%s: %d tenants in state, want %d", name, len(snap.State.Tenants), len(sc.Tenants))
+		}
+		if snap.State.Checker == nil {
+			t.Fatalf("%s: checker state missing", name)
+		}
+		if again := mustExport(t, sc, at); !bytes.Equal(again, data) {
+			t.Fatalf("%s: a second export of the same scenario differs", name)
 		}
 		if name == "mid-drain" {
 			draining := 0
-			for _, ts := range ref.State.Tenants {
+			for _, ts := range snap.State.Tenants {
 				draining += len(ts.Drains)
 			}
 			if draining == 0 {
@@ -96,8 +87,7 @@ func TestImportExport(t *testing.T) {
 }
 
 // TestSimulationAfterImport proves the restore side on the full matrix:
-// multi-seed × snapshot point × import shard count, export cut at one count
-// and imported at another, always converging to the uninterrupted run's
+// multi-seed × snapshot point, always converging to the uninterrupted run's
 // completion digest, checker digest and stats, with clean invariants.
 func TestSimulationAfterImport(t *testing.T) {
 	seeds := []int64{7}
@@ -114,35 +104,21 @@ func TestSimulationAfterImport(t *testing.T) {
 			t.Fatalf("seed %d: reference invariants: %v", seed, err)
 		}
 		for name, at := range snapshotPoints(sc) {
-			// Export at 1 shard; in the long matrix also cut at 4 shards —
-			// the cross-count import (export@4 → import@2, etc.) is the
-			// strongest form of "the mapping is execution strategy".
-			exportCounts := []int{1}
-			if !testing.Short() && name == "mid-drain" {
-				exportCounts = append(exportCounts, 4)
+			got := mustImport(t, mustExport(t, sc, at))
+			if err := got.Invariants.Err(); err != nil {
+				t.Fatalf("seed %d %s: invariants: %v", seed, name, err)
 			}
-			for _, ec := range exportCounts {
-				run := sc
-				run.Shards = ec
-				data := mustExport(t, run, at)
-				for _, shards := range []int{1, 2, 4} {
-					got := mustImport(t, data, shards)
-					if err := got.Invariants.Err(); err != nil {
-						t.Fatalf("seed %d %s export@%d import@%d: invariants: %v", seed, name, ec, shards, err)
-					}
-					if got.Digest != ref.Digest {
-						t.Fatalf("seed %d %s export@%d import@%d: completion digest %016x != uninterrupted %016x",
-							seed, name, ec, shards, got.Digest, ref.Digest)
-					}
-					if got.Invariants.Digest != ref.Invariants.Digest {
-						t.Fatalf("seed %d %s export@%d import@%d: checker digest %016x != uninterrupted %016x",
-							seed, name, ec, shards, got.Invariants.Digest, ref.Invariants.Digest)
-					}
-					if got.Stats != ref.Stats {
-						t.Fatalf("seed %d %s export@%d import@%d: stats diverge:\n got %+v\nwant %+v",
-							seed, name, ec, shards, got.Stats, ref.Stats)
-					}
-				}
+			if got.Digest != ref.Digest {
+				t.Fatalf("seed %d %s: completion digest %016x != uninterrupted %016x",
+					seed, name, got.Digest, ref.Digest)
+			}
+			if got.Invariants.Digest != ref.Invariants.Digest {
+				t.Fatalf("seed %d %s: checker digest %016x != uninterrupted %016x",
+					seed, name, got.Invariants.Digest, ref.Invariants.Digest)
+			}
+			if got.Stats != ref.Stats {
+				t.Fatalf("seed %d %s: stats diverge:\n got %+v\nwant %+v",
+					seed, name, got.Stats, ref.Stats)
 			}
 		}
 	}
@@ -179,14 +155,12 @@ func TestSnapshotMidFaultRetry(t *testing.T) {
 	if faults == 0 || retries == 0 {
 		t.Fatalf("barrier at %v caught no fault/retry activity (faults=%d retries=%d) — raise the rate or move the point", at, faults, retries)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		got := mustImport(t, data, shards)
-		if err := got.Invariants.Err(); err != nil {
-			t.Fatalf("shards=%d: invariants: %v", shards, err)
-		}
-		if got.Digest != ref.Digest || got.Invariants.Digest != ref.Invariants.Digest {
-			t.Fatalf("shards=%d: digests diverge after mid-fault-retry restore", shards)
-		}
+	got := mustImport(t, data)
+	if err := got.Invariants.Err(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	if got.Digest != ref.Digest || got.Invariants.Digest != ref.Invariants.Digest {
+		t.Fatal("digests diverge after mid-fault-retry restore")
 	}
 }
 
@@ -228,20 +202,18 @@ func TestSnapshotCrashRecovery(t *testing.T) {
 		if name == "post-crash" && dead != 1 {
 			t.Fatalf("post-crash snapshot has %d dead devices, want 1", dead)
 		}
-		for _, shards := range []int{1, 2, 4} {
-			got := mustImport(t, data, shards)
-			if err := got.Invariants.Err(); err != nil {
-				t.Fatalf("%s shards=%d: invariants: %v", name, shards, err)
-			}
-			if got.Invariants.Lost != 0 {
-				t.Fatalf("%s shards=%d: lost %d requests across restore+crash", name, shards, got.Invariants.Lost)
-			}
-			if got.Digest != ref.Digest || got.Invariants.Digest != ref.Invariants.Digest {
-				t.Fatalf("%s shards=%d: restored run diverges from reference", name, shards)
-			}
-			if got.Stats != ref.Stats {
-				t.Fatalf("%s shards=%d: stats diverge:\n got %+v\nwant %+v", name, shards, got.Stats, ref.Stats)
-			}
+		got := mustImport(t, data)
+		if err := got.Invariants.Err(); err != nil {
+			t.Fatalf("%s: invariants: %v", name, err)
+		}
+		if got.Invariants.Lost != 0 {
+			t.Fatalf("%s: lost %d requests across restore+crash", name, got.Invariants.Lost)
+		}
+		if got.Digest != ref.Digest || got.Invariants.Digest != ref.Invariants.Digest {
+			t.Fatalf("%s: restored run diverges from reference", name)
+		}
+		if got.Stats != ref.Stats {
+			t.Fatalf("%s: stats diverge:\n got %+v\nwant %+v", name, got.Stats, ref.Stats)
 		}
 	}
 }
@@ -256,7 +228,7 @@ func TestSnapshotQuiescent(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := mustExport(t, sc, sc.Horizon+sim.Second)
-	got := mustImport(t, data, 2)
+	got := mustImport(t, data)
 	if got.Digest != ref.Digest || got.Invariants.Digest != ref.Invariants.Digest {
 		t.Fatal("quiescent snapshot does not restore to the reference digests")
 	}
@@ -267,7 +239,7 @@ func TestSnapshotQuiescent(t *testing.T) {
 func TestVerifyImport(t *testing.T) {
 	sc := smokeFleetScenario(7)
 	data := mustExport(t, sc, 10*sim.Millisecond)
-	v, err := VerifyImport(data, 2)
+	v, err := VerifyImport(data)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -279,8 +251,31 @@ func TestVerifyImport(t *testing.T) {
 	}
 	bad := append([]byte(nil), data...)
 	bad[len(bad)/3] ^= 0x10
-	if _, err := VerifyImport(bad, 2); err == nil {
+	if _, err := VerifyImport(bad); err == nil {
 		t.Fatal("corrupted snapshot verified without error")
+	}
+}
+
+// TestImportIgnoresReservedHeader re-seals a smoke snapshot with the
+// reserved header slot (once the exporting run's shard count) set to
+// math.MaxInt64: the import must ignore the value, not size anything by it.
+func TestImportIgnoresReservedHeader(t *testing.T) {
+	snap, err := snapshot.Decode(mustExport(t, smokeFleetScenario(7), 20*sim.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Reserved != 1 {
+		t.Fatalf("export wrote reserved slot %d, want 1", snap.Reserved)
+	}
+	snap.Reserved = math.MaxInt64
+	v, err := VerifyImport(snapshot.Encode(snap))
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	// The reference digests of the smoke scenario (TestFleetPinnedDigests).
+	if v.Imported.Digest != 0x419ee3b813f3f076 || v.Imported.Invariants.Digest != 0x249e7386fded5972 {
+		t.Fatalf("restored digests %016x/%016x, want 419ee3b813f3f076/249e7386fded5972",
+			v.Imported.Digest, v.Imported.Invariants.Digest)
 	}
 }
 

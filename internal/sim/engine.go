@@ -318,8 +318,9 @@ func (e *Engine) RunUntil(deadline Time) { e.runTo(deadline, true) }
 // RunBefore fires events with timestamps strictly earlier than deadline,
 // then sets the clock to exactly deadline and returns. Events at or past the
 // deadline stay queued and fire in a later window. This is the window
-// primitive of the sharded fleet simulation: every shard runs [now, deadline)
-// locally, and all clocks agree at the barrier.
+// primitive of the fleet simulation: the device engine runs [now, deadline),
+// and cross-device work is applied at the barrier with the clock at exactly
+// deadline.
 func (e *Engine) RunBefore(deadline Time) { e.runTo(deadline, false) }
 
 // runTo fires live events earlier than deadline (and at it, when inclusive)

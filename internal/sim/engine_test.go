@@ -253,3 +253,64 @@ func TestEnginePendingTimes(t *testing.T) {
 		t.Fatalf("%d pending times after drain", n)
 	}
 }
+
+// TestRunBeforeWindowSemantics pins the window primitive: strictly-before
+// firing, clock landing exactly on the deadline, queued events surviving.
+func TestRunBeforeWindowSemantics(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	for _, at := range []Time{5, 10, 15, 20} {
+		at := at
+		e.Schedule(at, func() { fired = append(fired, at) })
+	}
+	e.RunBefore(15)
+	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
+		t.Fatalf("RunBefore(15) fired %v, want [5 10]", fired)
+	}
+	if e.Now() != 15 {
+		t.Fatalf("clock at %v after RunBefore(15), want 15", e.Now())
+	}
+	// The event at exactly the deadline fires in the next window.
+	e.RunBefore(16)
+	if len(fired) != 3 || fired[2] != 15 {
+		t.Fatalf("second window fired %v, want the deadline event", fired)
+	}
+	e.Run()
+	if len(fired) != 4 {
+		t.Fatalf("drain fired %v", fired)
+	}
+}
+
+// TestRunBeforeSchedulesWithinWindow: events scheduled by callbacks inside
+// the window still fire if they land before the deadline.
+func TestRunBeforeSchedulesWithinWindow(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.Schedule(1, func() {
+		n++
+		e.Schedule(2, func() { n++ })
+		e.Schedule(9, func() { n++ }) // at deadline: next window
+	})
+	e.RunBefore(9)
+	if n != 2 {
+		t.Fatalf("fired %d events in window, want 2", n)
+	}
+	if at, ok := e.PeekTime(); !ok || at != 9 {
+		t.Fatalf("PeekTime = %v,%v, want 9,true", at, ok)
+	}
+}
+
+// TestPeekTimeSkipsCanceled: canceled heads are discarded, not reported.
+func TestPeekTimeSkipsCanceled(t *testing.T) {
+	e := NewEngine()
+	ev := e.Schedule(3, func() {})
+	e.Schedule(7, func() {})
+	ev.Cancel()
+	if at, ok := e.PeekTime(); !ok || at != 7 {
+		t.Fatalf("PeekTime = %v,%v, want 7,true", at, ok)
+	}
+	e.Run()
+	if _, ok := e.PeekTime(); ok {
+		t.Fatal("PeekTime reports events on a drained engine")
+	}
+}

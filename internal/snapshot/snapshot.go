@@ -2,8 +2,8 @@
 // runtime snapshots — the export/import primitive behind migration, upgrade
 // and crash-recovery testing (the wasmd test-sim-import-export discipline).
 //
-// A snapshot is cut at a virtual-time barrier of a sharded fleet run and
-// captures two things:
+// A snapshot is cut at a virtual-time barrier of a fleet run and captures
+// two things:
 //
 //   - the generating Scenario: everything needed to rebuild the fleet from
 //     nothing in a fresh process (pool, tenants, control schedule, policy,
@@ -12,8 +12,8 @@
 //     per-device control-plane and BLESS-runtime state (clients, quotas,
 //     backlogs, fault/retry counters), per-tenant progress (sequence
 //     counters, completion order, outstanding requests, closed-loop timers),
-//     in-flight cross-shard exchange records, the invariant checker's
-//     digest, and the merged multiset of pending engine-event times.
+//     in-flight migration-drain exchange records, the invariant checker's
+//     digest, and the pending device- and control-engine event times.
 //
 // Pending engine events are closures and cannot be serialized; importing a
 // snapshot therefore reconstructs them by deterministic replay of the
@@ -53,10 +53,10 @@ const Version = 1
 type Snapshot struct {
 	// Seed keys the scenario's deterministic control-plane decisions.
 	Seed int64
-	// Shards is the engine-shard count the exporting run used. Advisory:
-	// the shard mapping is execution strategy, so an import may replay at
-	// any count and still reproduce State byte-for-byte.
-	Shards int
+	// Reserved is a header slot kept so Version 1 streams stay
+	// byte-compatible. It once carried the exporting run's engine-shard
+	// count. Exports write 1; importers must ignore the value.
+	Reserved int
 	// BarrierAt is the virtual-time barrier the snapshot was cut at.
 	BarrierAt sim.Time
 	// Horizon is the scenario horizon (new work stops there; the run then
@@ -173,39 +173,37 @@ type RuntimeOptions struct {
 
 // State is the complete observable logical fleet state at a barrier. Every
 // field is keyed on canonical entities (devices by id, tenants by admission
-// order, requests by sequence) — never on shards, goroutines or map order —
-// so the encoding is identical at any engine-shard count or mapping.
+// order, requests by sequence) — never on map order — so the same logical
+// state always encodes to the same bytes.
 type State struct {
-	// At is the barrier instant (all engine clocks agree on it).
+	// At is the barrier instant (both engine clocks agree on it).
 	At sim.Time
 	// Epoch and ShortfallTicks/Churned are the control loop's state.
 	Epoch          int64
 	ShortfallTicks int
 	Churned        bool
-	// Stats are the merged control-plane counters (shard tallies folded).
+	// Stats are the control-plane counters.
 	Stats Stats
 	// Devices, id order.
 	Devices []DeviceState
 	// Tenants, admission order.
 	Tenants []TenantState
-	// Inbox holds in-flight cross-shard exchange records in canonical
-	// (deliver, device, ordinal) order — a snapshot mid-migration carries
-	// the drain completions still traveling to their tenants' owners.
+	// Inbox holds in-flight exchange records in canonical (deliver, device,
+	// ordinal) order — a snapshot mid-migration carries the drain
+	// completions still traveling to their tenants' owners.
 	Inbox []ExchangeRecord
 	// ControlTimes are the pending control-engine event instants (future
 	// rebalance ticks, scheduled migrations and crashes), ascending.
 	ControlTimes []sim.Time
-	// EventTimes is the merged multiset of live pending engine-event
-	// instants across all shards, ascending — the serializable shape of the
-	// event queues (mapping-invariant: the same logical events pend
-	// regardless of which shard holds them).
+	// EventTimes are the live pending device-engine event instants,
+	// ascending — the serializable shape of the event queue.
 	EventTimes []sim.Time
 	// Checker is the fleet invariant checker's running state (nil when the
 	// run is unchecked).
 	Checker *CheckerState
 }
 
-// Stats mirrors fleet.Stats, merged across shards.
+// Stats mirrors fleet.Stats.
 type Stats struct {
 	Admitted            int
 	AdmitRejected       int
@@ -313,7 +311,7 @@ type FaultCounts struct {
 	CancelledKernels int64
 }
 
-// ExchangeRecord is one in-flight cross-shard drain completion.
+// ExchangeRecord is one in-flight migration-drain completion.
 type ExchangeRecord struct {
 	Deliver sim.Time
 	At      sim.Time
@@ -572,7 +570,7 @@ func AppendEncode(buf []byte, s *Snapshot) []byte {
 	w.buf = append(w.buf, Magic...)
 	w.u32(Version)
 	w.i64(s.Seed)
-	w.vint(s.Shards)
+	w.vint(s.Reserved)
 	w.time(s.BarrierAt)
 	w.time(s.Horizon)
 	encodeScenario(w, &s.Scenario)
@@ -624,7 +622,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	s := &Snapshot{}
 	s.Seed = r.i64()
-	s.Shards = r.vint()
+	s.Reserved = r.vint()
 	s.BarrierAt = r.time()
 	s.Horizon = r.time()
 	decodeScenario(r, &s.Scenario)

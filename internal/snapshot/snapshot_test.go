@@ -14,7 +14,7 @@ import (
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
 		Seed:      7,
-		Shards:    4,
+		Reserved:  4,
 		BarrierAt: 25 * sim.Millisecond,
 		Horizon:   60 * sim.Millisecond,
 		Scenario: Scenario{
@@ -137,7 +137,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotRoundTripMinimal(t *testing.T) {
-	s := &Snapshot{Seed: 1, Shards: 1, Scenario: Scenario{Seed: 1}}
+	s := &Snapshot{Seed: 1, Reserved: 1, Scenario: Scenario{Seed: 1}}
 	got, err := Decode(Encode(s))
 	if err != nil {
 		t.Fatalf("decode minimal: %v", err)
@@ -212,7 +212,7 @@ func TestSnapshotDecodeRejectsTrailingBytes(t *testing.T) {
 	w.buf = append(w.buf, Magic...)
 	w.u32(Version)
 	w.i64(s.Seed)
-	w.vint(s.Shards)
+	w.vint(s.Reserved)
 	w.time(s.BarrierAt)
 	w.time(s.Horizon)
 	encodeScenario(w, &s.Scenario)

@@ -42,8 +42,8 @@ echo "== bench: end-to-end simulator throughput =="
 bench 'BenchmarkSimulatorThroughput$' .
 echo "== bench: fleet control plane (smoke scenario) =="
 bench 'BenchmarkFleetSmoke$' ./internal/harness/
-echo "== bench: sharded fleet engine (32-GPU scenario at 1/4/8 shards) =="
-bench 'BenchmarkFleetSharded(1|4|8)$' ./internal/harness/
+echo "== bench: fleet control plane (32-GPU scenario) =="
+bench 'BenchmarkFleet32$' ./internal/harness/
 echo "== bench: snapshot export (smoke scenario cut at the mid-horizon barrier) =="
 bench 'BenchmarkSnapshotExport$' ./internal/harness/
 echo "== bench: serving fast path (steady state must stay zero-alloc) =="

@@ -76,24 +76,17 @@ echo "== fleet control plane =="
 # and migration-order-permuted runs.
 go run ./cmd/blessbench -fleet -smoke
 
-echo "== fleet shard determinism =="
-# The sharded engine gate: the smoke fleet scenario (with a device crash
-# timed mid-migration) run on 1 shard, on 4 engine shards, and with the
-# device→shard mapping reversed must produce bit-identical completion and
-# checker digests. CI runs the full-scale matrix at 1/2/4/8 shards.
-go run ./cmd/blessbench -fleet -smoke -shards 4
-
 echo "== snapshot replay =="
 # The snapshot/restore gate, across a real process boundary: export the smoke
 # fleet scenario at the mid-horizon barrier, then restore it in a separate
 # process — the import replays the embedded scenario to the barrier, proves
 # the replayed state byte-identical to the snapshot's state section,
 # continues to completion, and fails unless completion digest, checker digest
-# and stats match an uninterrupted run (here at a different shard count).
+# and stats match an uninterrupted run.
 snap_file=$(mktemp)
 trap 'rm -f "$snap_file"' EXIT
 go run ./cmd/blessbench -fleet -smoke -snapshot "$snap_file"
-go run ./cmd/blessbench -snapshot-import "$snap_file" -shards 2
+go run ./cmd/blessbench -snapshot-import "$snap_file"
 rm -f "$snap_file"
 
 echo "== serving front end =="
